@@ -12,6 +12,16 @@ and a fixed user-supplied matrix.  Both the model-based covariance (inverse
 information) and the robust sandwich covariance are produced; the sandwich
 stays consistent under correlation misspecification as long as the mean
 model is right, so reported standard errors use it.
+
+Clusters are grouped by size once per fit.  Each size group is handled by
+one stacked computation: the `(G, m, m)` stack of working covariances is
+Cholesky-factored in a single batched call, `[D_i | y_i - mu_i]` is
+whitened against the stacked factors in a single solve, and the
+information, score and sandwich meat are reduced with `einsum`.  When the
+batched factorization fails for a group (a working correlation on the SPD
+boundary), that group's clusters are factored one at a time by
+`linalg.spd_factor`, whose jitter retry rescues boundary matrices and whose
+`NotPositiveDefinite` reports the ones it cannot.
 """
 
 import warnings
@@ -146,15 +156,15 @@ class Fixed:
 
 CorrelationStructure = Union[Independent, Exchangeable, MDependent, AR1, Unstructured, Fixed]
 
-STRUCTURE_KINDS = ("independent", "mdependent", "exchangeable", "ar1", "unstructured", "fixed")
-
 
 def realize_correlation(cs, size, positions=None) -> np.ndarray:
-    """Materialize the working correlation for one cluster.
+    """Materialize the working correlation for one cluster or a stack of them.
 
-    `positions` are the cluster's occasion indices (1-based); they default to
+    `positions` are occasion indices (1-based), of shape `(size,)` for one
+    cluster or `(G, size)` for G clusters of the same size; they default to
     1..size.  Lags for the serial structures are occasion differences, and
-    the unstructured/fixed templates are subset at those occasions.
+    the unstructured/fixed templates are subset at those occasions.  The
+    result has shape `positions.shape + (size,)`.
     """
     if size < 1:
         raise ValueError("size must be >= 1")
@@ -162,19 +172,20 @@ def realize_correlation(cs, size, positions=None) -> np.ndarray:
         positions = np.arange(1, size + 1)
     else:
         positions = np.asarray(positions, dtype=int)
-        if positions.shape != (size,):
+        if positions.ndim not in (1, 2) or positions.shape[-1] != size:
             raise ValueError("positions must have length `size`")
+    shape = positions.shape + (size,)
     if isinstance(cs, Independent):
-        return np.eye(size)
+        return np.broadcast_to(np.eye(size), shape).copy()
     if isinstance(cs, Exchangeable):
-        r = np.full((size, size), cs.alpha)
-        np.fill_diagonal(r, 1.0)
+        r = np.full(shape, cs.alpha)
+        r[..., np.arange(size), np.arange(size)] = 1.0
         return r
-    lag = np.abs(positions[:, None] - positions[None, :])
+    lag = np.abs(positions[..., :, None] - positions[..., None, :])
     if isinstance(cs, AR1):
         return np.asarray(cs.alpha, dtype=float) ** lag
     if isinstance(cs, MDependent):
-        r = np.eye(size)
+        r = np.broadcast_to(np.eye(size), shape).copy()
         for s in range(1, cs.m + 1):
             r[lag == s] = cs.alphas[s - 1]
         return r
@@ -185,7 +196,7 @@ def realize_correlation(cs, size, positions=None) -> np.ndarray:
                 f"occasion {int(np.max(positions))} exceeds template size {cs.size}"
             )
         index = positions - 1
-        return template[np.ix_(index, index)]
+        return template[index[..., :, None], index[..., None, :]]
     raise TypeError(f"unknown correlation structure {cs!r}")
 
 
@@ -201,19 +212,26 @@ def _clamp(a):
     return float(np.clip(a, -ALPHA_CLAMP, ALPHA_CLAMP))
 
 
-def _lag_moment(cluster_residuals, s, phi, p, subtract_p, label):
+def _lag_pairs(resid, positions, cluster, max_size):
+    """Occasion lag and residual product of every within-cluster pair."""
+    lags, products = [], []
+    for d in range(1, max_size):
+        same = cluster[d:] == cluster[:-d]
+        lags.append(np.abs(positions[d:] - positions[:-d])[same])
+        products.append((resid[:-d] * resid[d:])[same])
+    return np.concatenate(lags), np.concatenate(products)
+
+
+def _lag_moment(pairs, s, phi, p, subtract_p, label):
     """Average residual cross-products at occasion lag ``s``."""
-    num = 0.0
-    count = 0
-    for resid, positions in cluster_residuals:
-        lag = np.abs(positions[:, None] - positions[None, :])
-        jj, kk = np.nonzero(np.triu(lag == s, k=1))
-        num += float(np.sum(resid[jj] * resid[kk]))
-        count += len(jj)
+    lags, products = pairs
+    hit = lags == s
+    count = int(np.count_nonzero(hit))
     if count == 0:
         warnings.warn(f"no residual pairs at {label}; estimate set to 0",
                       UnderdeterminedLag, stacklevel=3)
         return 0.0
+    num = float(np.sum(products[hit]))
     denom = count - p if subtract_p else count
     if denom <= 0:
         warnings.warn(
@@ -269,21 +287,23 @@ def estimate_alpha(cs, cluster_residuals, phi, p, subtract_p=True):
         [-0.99, 0.99], and the exchangeable estimate is additionally floored
         at -1/(max cluster size - 1) to keep realized matrices SPD.
     """
-    cluster_residuals = [
-        (np.asarray(r, dtype=float), np.asarray(q, dtype=int))
-        for r, q in cluster_residuals
-    ]
-    sizes = [len(r) for r, _ in cluster_residuals]
-    n_pairs = sum(n * (n - 1) // 2 for n in sizes)
+    cluster_residuals = [(r, q) for r, q in cluster_residuals if len(r)]
+    sizes = np.array([len(r) for r, _ in cluster_residuals], dtype=int)
+    n_pairs = int(np.sum(sizes * (sizes - 1) // 2))
     if isinstance(cs, (Independent, Fixed)):
         return cs
     if n_pairs == 0:
         raise NoPairs("every cluster has a single row; no pairs to average")
+    # flat layout: segment sums run over the cluster offsets
+    resid = np.concatenate([np.asarray(r, dtype=float) for r, _ in cluster_residuals])
+    positions = np.concatenate([np.asarray(q, dtype=int) for _, q in cluster_residuals])
+    offsets = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    cluster = np.repeat(np.arange(len(sizes)), sizes)
 
     if isinstance(cs, Exchangeable):
-        num = 0.0
-        for resid, _ in cluster_residuals:
-            num += (float(np.sum(resid)) ** 2 - float(np.sum(resid**2))) / 2.0
+        sums = np.add.reduceat(resid, offsets)
+        squares = np.add.reduceat(resid**2, offsets)
+        num = float(np.sum(sums**2 - squares)) / 2.0
         denom = n_pairs - p if subtract_p else n_pairs
         if denom <= 0:
             warnings.warn(
@@ -291,15 +311,17 @@ def estimate_alpha(cs, cluster_residuals, phi, p, subtract_p=True):
                 UnderdeterminedLag, stacklevel=2)
             denom = n_pairs
         alpha = _clamp(num / (denom * phi))
-        floor = -1.0 / (max(sizes) - 1) + 1e-6
+        floor = -1.0 / (int(sizes.max()) - 1) + 1e-6
         return Exchangeable(max(alpha, floor))
 
     if isinstance(cs, AR1):
-        return AR1(_lag_moment(cluster_residuals, 1, phi, p, subtract_p, "lag 1"))
+        pairs = _lag_pairs(resid, positions, cluster, int(sizes.max()))
+        return AR1(_lag_moment(pairs, 1, phi, p, subtract_p, "lag 1"))
 
     if isinstance(cs, MDependent):
+        pairs = _lag_pairs(resid, positions, cluster, int(sizes.max()))
         alphas = tuple(
-            _lag_moment(cluster_residuals, s, phi, p, subtract_p, f"lag {s}")
+            _lag_moment(pairs, s, phi, p, subtract_p, f"lag {s}")
             for s in range(1, cs.m + 1)
         )
         return MDependent(cs.m, alphas)
@@ -308,11 +330,10 @@ def estimate_alpha(cs, cluster_residuals, phi, p, subtract_p=True):
         # occasion-indexed residual layout: products of zeros drop the
         # clusters that miss either occasion, giving available-pairs sums
         t = cs.size
-        z = np.zeros((len(cluster_residuals), t))
-        mask = np.zeros((len(cluster_residuals), t))
-        for i, (resid, positions) in enumerate(cluster_residuals):
-            z[i, positions - 1] = resid
-            mask[i, positions - 1] = 1.0
+        z = np.zeros((len(sizes), t))
+        mask = np.zeros((len(sizes), t))
+        z[cluster, positions - 1] = resid
+        mask[cluster, positions - 1] = 1.0
         cross = z.T @ z
         counts = mask.T @ mask
         off = ~np.eye(t, dtype=bool)
@@ -378,14 +399,20 @@ class GeeFit:
     column_labels: tuple = field(default_factory=tuple)
 
 
-def _cluster_views(ds):
-    views = []
-    start = 0
-    for c in ds.clusters:
-        n = c.size
-        views.append((slice(start, start + n), np.asarray(c.positions, dtype=int)))
-        start += n
-    return views
+def _factor_stack(v):
+    """Lower Cholesky factors of a `(G, m, m)` stack of working covariances.
+
+    One batched factorization serves the usual case.  If it fails, the
+    clusters are factored one at a time by `spd_factor`, which applies its
+    jitter retry to boundary matrices and raises NotPositiveDefinite (or
+    ValueError for non-finite entries) for the rest.
+    """
+    if np.all(np.isfinite(v)):
+        try:
+            return np.linalg.cholesky(v)
+        except np.linalg.LinAlgError:
+            pass
+    return np.stack([spd_factor(v_i).lower for v_i in v])
 
 
 def _alpha_view(cs):
@@ -447,7 +474,15 @@ def fit_gee(x, ds, f, cs, options: GeeOptions = None) -> GeeFit:
         raise ValueError(f"design has {n} rows but dataset has {ds.n_total}")
     if np.linalg.matrix_rank(values) < p:
         raise RankDeficient("design matrix is rank deficient")
-    views = _cluster_views(ds)
+    sizes = np.array(ds.cluster_sizes(), dtype=int)
+    starts = np.cumsum(sizes) - sizes
+    positions = np.array([q for c in ds.clusters for q in c.positions], dtype=int)
+    views = [(slice(a, a + m), positions[a:a + m])
+             for a, m in zip(starts.tolist(), sizes.tolist())]
+    groups = []   # per cluster size m: (G, m) row gather and its gathered data
+    for m in np.unique(sizes):
+        rows = starts[sizes == m][:, None] + np.arange(m)
+        groups.append((rows, positions[rows], values[rows], y[rows]))
     fix_phi = opts.fix_phi if opts.fix_phi is not None else f.distribution == "binomial"
 
     try:
@@ -474,7 +509,7 @@ def fit_gee(x, ds, f, cs, options: GeeOptions = None) -> GeeFit:
         return cs, phi
 
     def assemble(beta, cs, phi):
-        """One pass over clusters: information M, score s, sandwich meat B."""
+        """Information M, score s and sandwich meat B, one pass per size group."""
         mu = glm.link_inverse(f, values @ beta)
         if f.distribution == "binomial":
             boundary = np.any(mu <= glm.BOUNDARY_EPS) or np.any(mu >= 1.0 - glm.BOUNDARY_EPS)
@@ -490,19 +525,20 @@ def fit_gee(x, ds, f, cs, options: GeeOptions = None) -> GeeFit:
         info = np.zeros((p, p))
         score = np.zeros(p)
         meat = np.zeros((p, p))
-        for sl, pos in views:
-            x_i = values[sl]
-            d_i = dmu[sl][:, None] * x_i
-            s_i = np.sqrt(a[sl])
-            r_i = realize_correlation(cs, len(pos), pos)
-            v_i = phi * np.outer(s_i, s_i) * r_i
-            factor = spd_factor(v_i)
-            vinv_d = spd_solve(factor, d_i)
-            vinv_r = spd_solve(factor, y[sl] - mu[sl])
-            info += d_i.T @ vinv_d
-            g_i = d_i.T @ vinv_r
-            score += g_i
-            meat += np.outer(g_i, g_i)
+        for rows, pos, x_g, y_g in groups:
+            s_g = np.sqrt(a[rows])
+            r_g = realize_correlation(cs, rows.shape[1], pos)
+            v_g = phi * (s_g[:, :, None] * s_g[:, None, :]) * r_g
+            lower = _factor_stack(v_g)
+            # whiten [D_i | y_i - mu_i] by L_i, so D'V^-1 D = W_d'W_d
+            rhs = np.concatenate(
+                (dmu[rows][:, :, None] * x_g, (y_g - mu[rows])[:, :, None]), axis=2)
+            w = np.linalg.solve(lower, rhs)
+            w_d, w_r = w[:, :, :p], w[:, :, p]
+            info += np.einsum("gki,gkj->ij", w_d, w_d)
+            g = np.einsum("gki,gk->gi", w_d, w_r)
+            score += g.sum(axis=0)
+            meat += g.T @ g
         return info, score, meat, boundary
 
     cs_current, phi = refresh(cs, beta)

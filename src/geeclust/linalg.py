@@ -85,15 +85,6 @@ def spd_inverse(f: CholeskyFactor) -> np.ndarray:
     return (inv + inv.T) / 2.0
 
 
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with conforming-dimension check."""
-    am = _as_matrix(a, "a")
-    bm = _as_matrix(b, "b")
-    if am.shape[1] != bm.shape[0]:
-        raise DimensionMismatch(f"cannot multiply {am.shape} by {bm.shape}")
-    return am @ bm
-
-
 def trace_of_product(a, b) -> float:
     """trace(a @ b) without forming the product: sum_ij a_ij * b_ji."""
     am = _as_matrix(a, "a")

@@ -20,6 +20,7 @@ Two entry points:
 """
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -95,7 +96,33 @@ def binary_pair_correlation(rho, p_j, p_k) -> float:
     return (p11 - p_j * p_k) / denom
 
 
-_rho_cache: dict = {}
+class LruCache(OrderedDict):
+    """Mapping that keeps at most `maxsize` entries, evicting the least recent.
+
+    The latent-correlation caches are keyed by margins, which repeat across
+    clusters (and across `generate` calls) for factor covariates but are new
+    for almost every cluster with a continuous covariate; the bound keeps the
+    latter case from growing without limit.
+    """
+
+    def __init__(self, maxsize):
+        super().__init__()
+        self.maxsize = maxsize
+
+    def lookup(self, key):
+        """The cached value (marked most recent), or None."""
+        if key not in self:
+            return None
+        self.move_to_end(key)
+        return self[key]
+
+    def store(self, key, value):
+        self[key] = value
+        if len(self) > self.maxsize:
+            self.popitem(last=False)
+
+
+_rho_cache = LruCache(4096)
 
 
 def _latent_rho(p_j, p_k, alpha) -> float:
@@ -103,8 +130,9 @@ def _latent_rho(p_j, p_k, alpha) -> float:
     if alpha == 0.0:
         return 0.0
     key = (round(min(p_j, p_k), 12), round(max(p_j, p_k), 12), round(alpha, 12))
-    if key in _rho_cache:
-        return _rho_cache[key]
+    cached = _rho_cache.lookup(key)
+    if cached is not None:
+        return cached
     frechet = (min(p_j, p_k) - p_j * p_k) / math.sqrt(
         p_j * (1 - p_j) * p_k * (1 - p_k)
     )
@@ -125,17 +153,18 @@ def _latent_rho(p_j, p_k, alpha) -> float:
         RHO_LIMIT,
         xtol=1e-10,
     )
-    _rho_cache[key] = rho
+    _rho_cache.store(key, rho)
     return rho
 
 
-_chol_cache: dict = {}
+_chol_cache = LruCache(1024)
 
 
 def _latent_cholesky(margins, alpha):
     key = (tuple(round(p, 12) for p in margins), round(alpha, 12))
-    if key in _chol_cache:
-        return _chol_cache[key]
+    cached = _chol_cache.lookup(key)
+    if cached is not None:
+        return cached
     t = len(margins)
     latent = np.eye(t)
     for j in range(t):
@@ -149,7 +178,7 @@ def _latent_cholesky(margins, alpha):
             latent = 0.999 * latent + 0.001 * np.eye(t)
     else:
         raise InfeasibleCorrelation("latent correlation matrix is not SPD")
-    _chol_cache[key] = lower
+    _chol_cache.store(key, lower)
     return lower
 
 

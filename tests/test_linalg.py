@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from geeclust.errors import DimensionMismatch, NotPositiveDefinite
-from geeclust.linalg import matmul, spd_factor, spd_inverse, spd_solve, trace_of_product
+from geeclust.linalg import spd_factor, spd_inverse, spd_solve, trace_of_product
 
 from conftest import random_spd
 
@@ -80,14 +80,6 @@ def test_inverse_random_spd(seed):
     assert np.max(np.abs(inv - inv.T)) < 1e-10
 
 
-def test_matmul_and_mismatch():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    b = np.array([[0.0, 1.0], [1.0, 0.0]])
-    assert np.allclose(matmul(a, b), a @ b)
-    with pytest.raises(DimensionMismatch):
-        matmul(np.ones((2, 3)), np.ones((2, 3)))
-
-
 def test_trace_of_product_examples():
     m = np.array([[2.0, 1.0], [1.0, 5.0]])
     assert trace_of_product(np.eye(2), m) == pytest.approx(np.trace(m))
@@ -101,7 +93,7 @@ def test_trace_of_product_matches_matmul(seed):
     rng = np.random.default_rng(200 + seed)
     a = rng.standard_normal((4, 6))
     b = rng.standard_normal((6, 4))
-    assert trace_of_product(a, b) == pytest.approx(np.trace(matmul(a, b)))
+    assert trace_of_product(a, b) == pytest.approx(np.trace(a @ b))
 
 
 def test_trace_requires_square_product():

@@ -22,8 +22,9 @@ from geeclust import (
     recode_response,
     write_csv,
 )
+from geeclust import simulate
 from geeclust.errors import InfeasibleCorrelation
-from geeclust.simulate import TABLE_SIZES, _latent_rho, binary_pair_correlation
+from geeclust.simulate import TABLE_SIZES, LruCache, _latent_rho, binary_pair_correlation
 
 from conftest import MARGINAL_INTERCEPT, MARGINAL_SLOPE
 
@@ -70,6 +71,37 @@ def test_generate_paper_deterministic(tmp_path):
     write_csv(generate_paper(n_clusters=50, alpha=0.2, seed=4), a)
     write_csv(generate_paper(n_clusters=50, alpha=0.2, seed=4), b)
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_lru_cache_evicts_least_recent():
+    cache = LruCache(2)
+    cache.store("a", 1)
+    cache.store("b", 2)
+    assert cache.lookup("a") == 1        # "b" is now the least recent
+    cache.store("c", 3)
+    assert list(cache) == ["a", "c"]
+    assert cache.lookup("b") is None
+
+
+def test_latent_caches_bounded_and_output_cache_independent(monkeypatch, tmp_path):
+    # a continuous covariate gives every cluster new margins, so each
+    # cluster adds cache keys that are never hit again
+    profile = SimProfile(
+        n_clusters=12, size_distribution=((2, 0.5), (3, 0.5)),
+        covariate_specs=(CovariateSpec("u", "covariate", ("uniform", -1.0, 1.0)),),
+        coefficients={"u": 1.0}, alpha=0.3, seed=5)
+    outputs = []
+    for rho_bound, chol_bound in ((10_000, 10_000), (8, 4)):
+        monkeypatch.setattr(simulate, "_rho_cache", LruCache(rho_bound))
+        monkeypatch.setattr(simulate, "_chol_cache", LruCache(chol_bound))
+        for run in ("cold", "warm"):
+            path = tmp_path / f"{rho_bound}-{run}.csv"
+            write_csv(generate(profile), path)
+            outputs.append(path.read_bytes())
+            assert len(simulate._rho_cache) <= rho_bound
+            assert len(simulate._chol_cache) <= chol_bound
+        assert len(simulate._chol_cache) == min(chol_bound, 12)
+    assert len(set(outputs)) == 1
 
 
 # ---------------------------------------------------------------- calibration
