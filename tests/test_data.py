@@ -76,6 +76,19 @@ def test_load_unparseable_response(tmp_path):
         load_csv(path, "ID", "Y")
 
 
+@pytest.mark.parametrize("text, within, col", [
+    ("ID,X,Y\n1,2,0\n1,3,nan\n", None, "Y"),
+    ("ID,X,Y\n1,2,0\n1,inf,1\n", None, "X"),
+    ("ID,T,Y\n1,2,0\n1,nan,1\n", "T", "T"),
+], ids=["nan-response", "inf-covariate", "nan-within"])
+def test_load_rejects_non_finite_cells(tmp_path, text, within, col):
+    path = tmp_path / "nonfinite.csv"
+    path.write_text(text)
+    with pytest.raises(UnparseableValue) as err:
+        load_csv(path, "ID", "Y", within)
+    assert (err.value.row, err.value.col) == (3, col)
+
+
 def test_load_duplicate_within_position(tmp_path):
     path = tmp_path / "dup.csv"
     path.write_text("ID,T,Y\n1,3,0\n1,3,1\n")
