@@ -13,6 +13,7 @@ share across concurrent fits.
 import csv
 import logging
 from dataclasses import dataclass, field
+from math import isfinite
 from typing import Mapping, Optional
 
 import numpy as np
@@ -29,14 +30,22 @@ from .errors import (
 log = logging.getLogger("geeclust.data")
 
 
-def _parse_cell(text):
-    """'' -> None, numeric text -> float, anything else kept as string."""
+def _parse_cell(text, row, col):
+    """'' -> None, finite numeric text -> float, other text kept as string.
+
+    Text that parses to nan or +-inf ("nan", "inf", "-Infinity") raises
+    UnparseableValue(row, col): no response, covariate or within value can
+    use it as a number.
+    """
     if text is None or text == "":
         return None
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         return text
+    if isfinite(value):
+        return value
+    raise UnparseableValue(row, col, text)
 
 
 def _format_cell(value) -> str:
@@ -173,13 +182,13 @@ def load_csv(path, cluster_col, response_col, within_col=None) -> ClusteredDatas
         for row_num, cells in enumerate(reader, start=2):
             if not any(cells):
                 continue
-            rec = {name: _parse_cell(cells[i]) if i < len(cells) else None
+            rec = {name: _parse_cell(cells[i], row_num, name) if i < len(cells) else None
                    for name, i in idx.items()}
             raw_response = cells[idx[response_col]] if idx[response_col] < len(cells) else ""
             if raw_response == "":
                 dropped += 1
                 continue
-            response = _parse_cell(raw_response)
+            response = rec[response_col]
             if not isinstance(response, float):
                 raise UnparseableValue(row_num, response_col, raw_response)
             within = None

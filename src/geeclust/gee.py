@@ -263,7 +263,7 @@ def _ensure_pd_template(template):
     raise NotPositiveDefinite("unstructured template cannot be made PD")
 
 
-def estimate_alpha(cs, cluster_residuals, phi, p, subtract_p=True):
+def estimate_alpha(cs, residuals, positions, sizes, phi, p, subtract_p=True):
     """Moment re-estimate of the working-correlation parameters.
 
     Parameters
@@ -271,9 +271,11 @@ def estimate_alpha(cs, cluster_residuals, phi, p, subtract_p=True):
     cs : CorrelationStructure
         Current structure; fixes the kind (and template size / lag depth)
         of the estimate.
-    cluster_residuals : sequence of (residuals, positions)
-        Standardized Pearson residuals per cluster with their occasion
-        indices.
+    residuals, positions : array_like
+        Standardized Pearson residuals and their occasion indices, cluster
+        after cluster in one flat vector each.
+    sizes : array_like of int
+        Rows per cluster, in the same order; they sum to len(residuals).
     phi : float
         Current dispersion estimate.
     p : int
@@ -287,17 +289,21 @@ def estimate_alpha(cs, cluster_residuals, phi, p, subtract_p=True):
         [-0.99, 0.99], and the exchangeable estimate is additionally floored
         at -1/(max cluster size - 1) to keep realized matrices SPD.
     """
-    cluster_residuals = [(r, q) for r, q in cluster_residuals if len(r)]
-    sizes = np.array([len(r) for r, _ in cluster_residuals], dtype=int)
+    sizes = np.asarray(sizes, dtype=int)
+    sizes = sizes[sizes > 0]
     n_pairs = int(np.sum(sizes * (sizes - 1) // 2))
     if isinstance(cs, (Independent, Fixed)):
         return cs
     if n_pairs == 0:
         raise NoPairs("every cluster has a single row; no pairs to average")
-    # flat layout: segment sums run over the cluster offsets
-    resid = np.concatenate([np.asarray(r, dtype=float) for r, _ in cluster_residuals])
-    positions = np.concatenate([np.asarray(q, dtype=int) for _, q in cluster_residuals])
-    offsets = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    resid = np.asarray(residuals, dtype=float)
+    positions = np.asarray(positions, dtype=int)
+    if len(resid) != len(positions) or len(resid) != sizes.sum():
+        raise ValueError(
+            f"{len(resid)} residuals and {len(positions)} positions for "
+            f"clusters of {int(sizes.sum())} rows")
+    # segment sums run over the cluster offsets
+    offsets = np.cumsum(sizes) - sizes
     cluster = np.repeat(np.arange(len(sizes)), sizes)
 
     if isinstance(cs, Exchangeable):
@@ -477,8 +483,6 @@ def fit_gee(x, ds, f, cs, options: GeeOptions = None) -> GeeFit:
     sizes = np.array(ds.cluster_sizes(), dtype=int)
     starts = np.cumsum(sizes) - sizes
     positions = np.array([q for c in ds.clusters for q in c.positions], dtype=int)
-    views = [(slice(a, a + m), positions[a:a + m])
-             for a, m in zip(starts.tolist(), sizes.tolist())]
     groups = []   # per cluster size m: (G, m) row gather and its gathered data
     for m in np.unique(sizes):
         rows = starts[sizes == m][:, None] + np.arange(m)
@@ -499,9 +503,9 @@ def fit_gee(x, ds, f, cs, options: GeeOptions = None) -> GeeFit:
         mu, resid = moments(beta)
         phi = estimate_phi(resid, n, p, fix_to_one=fix_phi)
         if opts.update_alpha and not isinstance(cs, (Independent, Fixed)):
-            grouped = [(resid[sl], pos) for sl, pos in views]
             try:
-                cs = estimate_alpha(cs, grouped, phi, p, subtract_p=opts.subtract_p)
+                cs = estimate_alpha(cs, resid, positions, sizes, phi, p,
+                                    subtract_p=opts.subtract_p)
             except NoPairs:
                 warnings.warn(
                     "all clusters are singletons; correlation parameters kept",

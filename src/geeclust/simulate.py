@@ -11,6 +11,25 @@ Two entry points:
   equal the inverse-logit of the linear predictor exactly, which keeps the
   simulated truth equal to the marginal-regression estimand.
 
+  Random stream: a dataset is fixed by its seed, and every dataset drawn so
+  far must stay byte-identical.  For each cluster in order, `generate`
+  makes exactly three Generator calls:
+
+  1. ``rng.random()`` for the size.  This is ``rng.choice(k, p=p)``:
+     ``cdf = p.cumsum(); cdf /= cdf[-1]`` and the index is
+     ``cdf.searchsorted(u, side="right")``.
+  2. ``rng.random(k)`` for the covariates, spec by spec: one uniform for a
+     cluster-constant spec, ``size`` uniforms for any other.  A factor spec
+     maps each uniform through its cdf as in step 1; a ``uniform`` spec is
+     ``low + (high - low) * u``.
+  3. ``rng.standard_normal(size)`` for the latent noise.  Normals cannot be
+     drawn for all clusters at once: the ziggurat method takes a variable
+     number of words per draw, so a later cluster's uniforms would move.
+
+  The mapping of uniforms to levels, the linear predictor, the thresholds
+  (``ndtri``, the value ``stats.norm.ppf`` returns) and the latent
+  correlation then run on whole arrays.
+
 * :func:`build_paper_marginals` deterministically reconstructs the
   miniscrew-stability example used throughout the docs: 305 rows over 135
   patient clusters with the jaw-by-loosening joint counts (maxilla 42
@@ -20,6 +39,7 @@ Two entry points:
 """
 
 import math
+from bisect import bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Mapping
@@ -27,7 +47,7 @@ from typing import Mapping
 import numpy as np
 from scipy import stats
 from scipy.optimize import brentq
-from scipy.special import expit
+from scipy.special import expit, ndtri
 
 from .data import Cluster, ClusteredDataset, Row
 from .errors import InfeasibleCorrelation, NotPositiveDefinite
@@ -38,6 +58,15 @@ TABLE_SIZES = ((1, 0.230), (2, 0.496), (3, 0.126), (4, 0.104), (5, 0.022), (6, 0
 RHO_LIMIT = 0.9999
 MAXILLARY_SITES = (2.0, 4.0, 6.0, 8.0, 10.0, 12.0)
 MANDIBULAR_SITES = (1.0, 3.0, 5.0, 7.0, 9.0, 11.0)
+
+
+def _check_probabilities(what, pairs):
+    probs = [p for _, p in pairs]
+    if any(p < 0.0 for p in probs):
+        raise ValueError(f"{what} probabilities must not be negative")
+    total = sum(probs)
+    if abs(total - 1.0) > 1e-12:
+        raise ValueError(f"{what} probabilities sum to {total}, not 1")
 
 
 @dataclass(frozen=True)
@@ -57,10 +86,12 @@ class CovariateSpec:
     def __post_init__(self):
         if self.kind not in ("factor", "covariate"):
             raise ValueError("kind must be 'factor' or 'covariate'")
-        if self.levels[0] != "uniform":
-            total = sum(p for _, p in self.levels)
-            if abs(total - 1.0) > 1e-12:
-                raise ValueError(f"level probabilities sum to {total}, not 1")
+        if self.levels[0] == "uniform":
+            _, low, high = self.levels
+            if not 0.0 <= high - low < math.inf:
+                raise ValueError(f"uniform range ({low}, {high}) is not finite and ordered")
+        else:
+            _check_probabilities("level", self.levels)
 
 
 @dataclass(frozen=True)
@@ -77,9 +108,9 @@ class SimProfile:
     response_name: str = "Y"
 
     def __post_init__(self):
-        total = sum(p for _, p in self.size_distribution)
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"size probabilities sum to {total}, not 1")
+        _check_probabilities("size", self.size_distribution)
+        if any(int(size) < 1 for size, _ in self.size_distribution):
+            raise ValueError("cluster sizes must be at least 1")
         if not 0.0 <= self.alpha < 1.0:
             raise ValueError("alpha must lie in [0, 1)")
         object.__setattr__(self, "coefficients", dict(self.coefficients or {}))
@@ -182,54 +213,118 @@ def _latent_cholesky(margins, alpha):
     return lower
 
 
-def _draw_value(rng, spec: CovariateSpec):
+def _categorical(pairs):
+    """Values and cumulative probabilities of (value, probability) pairs.
+
+    The cdf is normalised as `Generator.choice(values, p=probs)` normalises
+    it, so `_draw` and a `searchsorted` over it pick what `choice` picks from
+    the same uniform.
+    """
+    values = [v for v, _ in pairs]
+    cdf = np.cumsum([p for _, p in pairs], dtype=float)
+    cdf /= cdf[-1]
+    return values, cdf.tolist()
+
+
+def _draw(rng, categorical):
+    """One value from `_categorical` output, using one `rng.random()`."""
+    values, cdf = categorical
+    return values[bisect_right(cdf, rng.random())]
+
+
+def _spec_values(spec: CovariateSpec, u):
+    """A covariate's values from its uniforms `u` (one per value)."""
     if spec.levels[0] == "uniform":
         _, low, high = spec.levels
-        return float(rng.uniform(low, high))
-    values = [v for v, _ in spec.levels]
-    probs = [p for _, p in spec.levels]
-    return float(values[rng.choice(len(values), p=probs)])
+        low, high = float(low), float(high)
+        return low + (high - low) * u
+    values, cdf = _categorical(spec.levels)
+    return np.asarray(values, dtype=float)[np.searchsorted(cdf, u, side="right")]
+
+
+def _latent_noise(noise, margins, sizes, starts, alpha):
+    """Replace each multi-row cluster's noise e_i by L_i e_i, in place.
+
+    L_i is the latent Cholesky factor of the cluster's margins.  Clusters
+    of one size share a stacked gather; each distinct margin tuple is
+    factored once, in order of first appearance in the dataset, so the
+    caches see the same first calls and the same InfeasibleCorrelation
+    fires as when clusters are factored one by one.
+    """
+    groups, firsts = [], []
+    for m in np.unique(sizes[sizes > 1]):
+        rows = starts[sizes == m][:, None] + np.arange(m)
+        distinct, first, inverse = np.unique(
+            margins[rows], axis=0, return_index=True, return_inverse=True)
+        factors = np.empty((len(distinct), m, m))
+        groups.append((rows, inverse.reshape(-1), factors))
+        firsts += [(int(rows[f, 0]), factors, j, distinct[j]) for j, f in enumerate(first)]
+    for _, factors, j, key in sorted(firsts, key=lambda entry: entry[0]):
+        factors[j] = _latent_cholesky(tuple(key), alpha)
+    for rows, inverse, factors in groups:
+        noise[rows] = (factors[inverse] @ noise[rows][:, :, None])[:, :, 0]
 
 
 def generate(profile: SimProfile) -> ClusteredDataset:
-    """Draw a clustered binary dataset; byte-reproducible from the seed."""
+    """Draw a clustered binary dataset; byte-reproducible from the seed.
+
+    The random stream follows the per-cluster draw order in the module
+    docstring; everything after the draws runs on whole arrays.
+    """
     rng = np.random.default_rng(profile.seed)
-    sizes = [s for s, _ in profile.size_distribution]
-    size_probs = [p for _, p in profile.size_distribution]
-    variable_names = tuple(spec.name for spec in profile.covariate_specs)
-    clusters = []
-    for i in range(profile.n_clusters):
-        size = int(sizes[rng.choice(len(sizes), p=size_probs)])
-        draws = {}
-        for spec in profile.covariate_specs:
-            if spec.cluster_constant:
-                value = _draw_value(rng, spec)
-                draws[spec.name] = [value] * size
-            else:
-                draws[spec.name] = [_draw_value(rng, spec) for _ in range(size)]
-        eta = np.full(size, profile.intercept)
-        for name, coef in profile.coefficients.items():
-            eta += coef * np.asarray(draws.get(name, [0.0] * size))
-        margins = expit(eta)
-        thresholds = stats.norm.ppf(margins)
-        noise = rng.standard_normal(size)
-        if profile.alpha > 0.0 and size > 1:
-            z = _latent_cholesky(tuple(margins), profile.alpha) @ noise
+    size_law = _categorical(profile.size_distribution)
+    specs = profile.covariate_specs
+    n_constant = sum(1 for spec in specs if spec.cluster_constant)
+    n_varying = len(specs) - n_constant
+    # the empty heads keep np.concatenate valid when there are no clusters
+    sizes, uniforms, noise = [], [np.empty(0)], [np.empty(0)]
+    for _ in range(profile.n_clusters):
+        size = int(_draw(rng, size_law))
+        sizes.append(size)
+        uniforms.append(rng.random(n_constant + n_varying * size))
+        noise.append(rng.standard_normal(size))
+    sizes = np.array(sizes, dtype=int)
+    starts = np.cumsum(sizes) - sizes
+    n_rows = int(sizes.sum())
+    row_size = np.repeat(sizes, sizes)
+    within = np.arange(n_rows) - np.repeat(starts, sizes)
+    drawn = n_constant + n_varying * sizes
+    row_offset = np.repeat(np.cumsum(drawn) - drawn, sizes)
+    u = np.concatenate(uniforms)
+
+    columns = {}
+    constant_before = varying_before = 0
+    for spec in specs:
+        index = row_offset + constant_before + varying_before * row_size
+        if spec.cluster_constant:
+            constant_before += 1
         else:
-            z = noise
-        responses = (z <= thresholds).astype(float)
-        rows = tuple(
-            Row(
-                position=j + 1,
-                response=float(responses[j]),
-                covariates={name: draws[name][j] for name in variable_names},
-            )
-            for j in range(size)
-        )
-        clusters.append(Cluster(str(i + 1), rows))
+            index += within
+            varying_before += 1
+        columns[spec.name] = _spec_values(spec, u[index])
+
+    eta = np.full(n_rows, profile.intercept)
+    for name, coef in profile.coefficients.items():
+        eta += coef * columns.get(name, np.zeros(n_rows))
+    margins = expit(eta)
+    z = np.concatenate(noise)
+    if profile.alpha > 0.0:
+        _latent_noise(z, margins, sizes, starts, profile.alpha)
+    responses = (z <= ndtri(margins)).astype(float).tolist()
+
+    names = tuple(spec.name for spec in specs)
+    values = [columns[name].tolist() for name in names]
+    covariates = ([dict(zip(names, row)) for row in zip(*values)] if names
+                  else [{} for _ in range(n_rows)])
+    rows = [Row(q, y, cov)
+            for q, y, cov in zip((within + 1).tolist(), responses, covariates)]
+    clusters = tuple(
+        Cluster(str(i + 1), tuple(rows[a:a + m]))
+        for i, (a, m) in enumerate(zip(starts.tolist(), sizes.tolist()))
+    )
     return ClusteredDataset(
-        clusters=tuple(clusters),
-        variable_names=variable_names,
+        clusters=clusters,
+        variable_names=names,
         cluster_col="ID",
         response_col=profile.response_name,
         within_col=None,
@@ -334,15 +429,21 @@ def _fill_patient(rng, row, age1, gender, ninsert1):
     )
 
 
+AGE1_LAW = _categorical(((0.0, 0.45), (1.0, 0.55)))
+GENDER_LAW = _categorical(((0.0, 0.55), (1.0, 0.45)))
+LENGTH1_LAW = _categorical(((0.0, 0.4), (1.0, 0.6)))
+LONG_LAW = _categorical(((8.0, 0.5), (10.0, 0.35), (12.0, 0.15)))
+SHORT_LAW = _categorical(((6.0, 0.4), (7.0, 0.6)))
+DIAMETER_LAW = _categorical(((1.6, 0.85), (1.8, 0.15)))
+
+
 def _fill_screw(rng, row, length1=None):
     if length1 is None:
-        length1 = float(rng.choice([0.0, 1.0], p=[0.4, 0.6]))
-    if length1 == 1.0:
-        row["LENGTH"] = float(rng.choice([8.0, 10.0, 12.0], p=[0.5, 0.35, 0.15]))
-    else:
-        row["LENGTH"] = float(rng.choice([6.0, 7.0], p=[0.4, 0.6]))
+        length1 = _draw(rng, LENGTH1_LAW)
+    row["LENGTH"] = _draw(rng, LONG_LAW if length1 == 1.0 else SHORT_LAW)
     row["LENGTH1"] = length1
-    row.setdefault("DIAMETER", float(rng.choice([1.6, 1.8], p=[0.85, 0.15])))
+    # drawn even when DIAMETER is set, which keeps the stream position
+    row.setdefault("DIAMETER", _draw(rng, DIAMETER_LAW))
 
 
 def build_paper_marginals(seed=0) -> ClusteredDataset:
@@ -381,8 +482,8 @@ def build_paper_marginals(seed=0) -> ClusteredDataset:
             (area_fail if y == 1.0 else area_ok).pop() for y in outcomes
         ]
         sites = _assign_sites(rng, areas)
-        age1 = float(rng.choice([0.0, 1.0], p=[0.45, 0.55]))
-        gender = float(rng.choice([0.0, 1.0], p=[0.55, 0.45]))
+        age1 = _draw(rng, AGE1_LAW)
+        gender = _draw(rng, GENDER_LAW)
         ninsert1 = float(rng.choice([0.0, 1.0]))
         patient = {}
         _fill_patient(rng, patient, age1, gender, ninsert1)

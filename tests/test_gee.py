@@ -148,57 +148,62 @@ def test_phi_direct_formula():
 def test_alpha_exchangeable_identical_residuals_clamped():
     # identical residuals inside every cluster push the moment to the
     # perfect-correlation side; the estimate is clamped at 0.99
-    grouped = [(np.array([2.0, 2.0]), np.array([1, 2])),
-               (np.array([0.5, 0.5, 0.5]), np.array([1, 2, 3]))]
-    cs = estimate_alpha(Exchangeable(), grouped, phi=1.0, p=0)
+    resid = np.array([2.0, 2.0, 0.5, 0.5, 0.5])
+    positions = np.array([1, 2, 1, 2, 3])
+    cs = estimate_alpha(Exchangeable(), resid, positions, [2, 3], phi=1.0, p=0)
     assert cs.alpha == pytest.approx(0.99)
 
 
 def test_alpha_exchangeable_hand_value():
     # residual pairs (1,1) and (-1,-1): numerator 2 over 2 pairs -> 1, clamped
-    grouped = [(np.array([1.0, 1.0]), np.array([1, 2])),
-               (np.array([-1.0, -1.0]), np.array([1, 2]))]
-    cs = estimate_alpha(Exchangeable(), grouped, phi=1.0, p=0)
+    resid = np.array([1.0, 1.0, -1.0, -1.0])
+    positions = np.array([1, 2, 1, 2])
+    cs = estimate_alpha(Exchangeable(), resid, positions, [2, 2], phi=1.0, p=0)
     assert cs.alpha == pytest.approx(0.99)
 
 
 def test_alpha_independent_residuals_near_zero():
     rng = np.random.default_rng(42)
-    grouped = [(rng.standard_normal(2), np.array([1, 2])) for _ in range(10_000)]
-    cs = estimate_alpha(Exchangeable(), grouped, phi=1.0, p=2)
+    resid = rng.standard_normal(20_000)
+    positions = np.tile([1, 2], 10_000)
+    cs = estimate_alpha(Exchangeable(), resid, positions, [2] * 10_000, phi=1.0, p=2)
     assert abs(cs.alpha) < 0.05
 
 
 def test_alpha_all_singletons_raises():
-    grouped = [(np.array([1.0]), np.array([1]))] * 5
     with pytest.raises(NoPairs):
-        estimate_alpha(Exchangeable(), grouped, phi=1.0, p=1)
+        estimate_alpha(Exchangeable(), np.ones(5), np.ones(5, dtype=int), [1] * 5,
+                       phi=1.0, p=1)
+
+
+def test_alpha_rejects_sizes_that_do_not_cover_the_residuals():
+    with pytest.raises(ValueError, match="5 residuals"):
+        estimate_alpha(Exchangeable(), np.ones(5), np.tile([1, 2], 3)[:5], [2, 2],
+                       phi=1.0, p=0)
 
 
 def test_alpha_ar1_uses_lag_one_pairs():
-    grouped = [(np.array([1.0, 1.0, -1.0]), np.array([1, 2, 3]))] * 4
-    cs = estimate_alpha(AR1(), grouped, phi=1.0, p=0)
+    resid = np.tile([1.0, 1.0, -1.0], 4)
+    positions = np.tile([1, 2, 3], 4)
+    cs = estimate_alpha(AR1(), resid, positions, [3] * 4, phi=1.0, p=0)
     # lag-1 products: 1*1 + 1*(-1) per cluster -> mean 0
     assert cs.alpha == pytest.approx(0.0)
 
 
 def test_alpha_mdependent_missing_lag_warns_and_zeroes():
-    grouped = [(np.array([1.0, 1.0]), np.array([1, 2]))] * 6
     with pytest.warns(UnderdeterminedLag):
-        cs = estimate_alpha(MDependent(2), grouped, phi=1.0, p=0)
+        cs = estimate_alpha(MDependent(2), np.ones(12), np.tile([1, 2], 6), [2] * 6,
+                            phi=1.0, p=0)
     assert cs.alphas[0] == pytest.approx(0.99)   # lag-1 moment 1.0, clamped
     assert cs.alphas[1] == 0.0                   # no lag-2 pairs anywhere
 
 
 def test_alpha_unstructured_available_pairs():
-    grouped = [
-        (np.array([1.0, 1.0]), np.array([1, 2])),
-        (np.array([1.0, -1.0]), np.array([1, 2])),
-        (np.array([2.0, 1.0]), np.array([1, 3])),
-    ]
+    resid = np.array([1.0, 1.0, 1.0, -1.0, 2.0, 1.0])
+    positions = np.array([1, 2, 1, 2, 1, 3])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UnderdeterminedLag)
-        cs = estimate_alpha(Unstructured(3), grouped, phi=1.0, p=0)
+        cs = estimate_alpha(Unstructured(3), resid, positions, [2, 2, 2], phi=1.0, p=0)
     # occasions (1,2): products 1 and -1 over 2 clusters -> 0
     assert cs.alphas[0, 1] == pytest.approx(0.0)
     # occasions (2,3): never observed together -> 0

@@ -267,7 +267,10 @@ def test_segment_moments_match_per_cluster_reference(cs, subtract_p):
         size = int(rng.integers(1, 6))
         positions = np.sort(rng.choice(np.arange(1, 9), size, replace=False))
         grouped.append((rng.standard_normal(size) * 0.8, positions))
-    new = estimate_alpha(cs, grouped, phi=1.3, p=3, subtract_p=subtract_p)
+    resid = np.concatenate([r for r, _ in grouped])
+    positions = np.concatenate([q for _, q in grouped])
+    sizes = [len(r) for r, _ in grouped]
+    new = estimate_alpha(cs, resid, positions, sizes, phi=1.3, p=3, subtract_p=subtract_p)
     ref = reference_alpha(cs, grouped, phi=1.3, p=3, subtract_p=subtract_p)
     assert np.max(np.abs(_parameters(new) - _parameters(ref))) <= 1e-12
 

@@ -1,15 +1,22 @@
 import collections
+import hashlib
 import math
 from itertools import combinations
 
 import numpy as np
 import pytest
-from scipy import integrate
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import integrate, stats
+from scipy.special import expit
 
 from geeclust import (
+    Cluster,
+    ClusteredDataset,
     CovariateSpec,
     Family,
     Independent,
+    Row,
     SimProfile,
     TermCoding,
     build_design,
@@ -24,7 +31,14 @@ from geeclust import (
 )
 from geeclust import simulate
 from geeclust.errors import InfeasibleCorrelation
-from geeclust.simulate import TABLE_SIZES, LruCache, _latent_rho, binary_pair_correlation
+from geeclust.simulate import (
+    TABLE_SIZES,
+    LruCache,
+    _latent_cholesky,
+    _latent_rho,
+    binary_pair_correlation,
+    paper_profile,
+)
 
 from conftest import MARGINAL_INTERCEPT, MARGINAL_SLOPE
 
@@ -42,11 +56,153 @@ def within_cluster_pairs(ds):
     return np.array(firsts), np.array(seconds)
 
 
+def reference_generate(profile):
+    """`generate` one cluster and one draw at a time, as it first was.
+
+    Every value comes from its own Generator call (`choice` with `p` for a
+    level, `uniform` for a continuous value), each cluster's thresholds from
+    `stats.norm.ppf`, and each cluster's latent noise from its own factor.
+    """
+
+    def draw_value(rng, spec):
+        if spec.levels[0] == "uniform":
+            _, low, high = spec.levels
+            return float(rng.uniform(low, high))
+        values = [v for v, _ in spec.levels]
+        probs = [p for _, p in spec.levels]
+        return float(values[rng.choice(len(values), p=probs)])
+
+    rng = np.random.default_rng(profile.seed)
+    sizes = [s for s, _ in profile.size_distribution]
+    size_probs = [p for _, p in profile.size_distribution]
+    names = tuple(spec.name for spec in profile.covariate_specs)
+    clusters = []
+    for i in range(profile.n_clusters):
+        size = int(sizes[rng.choice(len(sizes), p=size_probs)])
+        draws = {}
+        for spec in profile.covariate_specs:
+            if spec.cluster_constant:
+                draws[spec.name] = [draw_value(rng, spec)] * size
+            else:
+                draws[spec.name] = [draw_value(rng, spec) for _ in range(size)]
+        eta = np.full(size, profile.intercept)
+        for name, coef in profile.coefficients.items():
+            eta += coef * np.asarray(draws.get(name, [0.0] * size))
+        margins = expit(eta)
+        thresholds = stats.norm.ppf(margins)
+        noise = rng.standard_normal(size)
+        if profile.alpha > 0.0 and size > 1:
+            z = _latent_cholesky(tuple(margins), profile.alpha) @ noise
+        else:
+            z = noise
+        responses = (z <= thresholds).astype(float)
+        rows = tuple(
+            Row(j + 1, float(responses[j]), {name: draws[name][j] for name in names})
+            for j in range(size)
+        )
+        clusters.append(Cluster(str(i + 1), rows))
+    return ClusteredDataset(tuple(clusters), names, "ID", profile.response_name, None)
+
+
+def csv_bytes(ds, tmp_path, name="ds.csv"):
+    path = tmp_path / name
+    write_csv(ds, path)
+    return path.read_bytes()
+
+
+BINARY_X = CovariateSpec("x", "factor", ((0.0, 0.5), (1.0, 0.5)), False)
+
+STREAM_PROFILES = {
+    "coverage": SimProfile(
+        n_clusters=200, size_distribution=((4, 1.0),), covariate_specs=(BINARY_X,),
+        intercept=-1.0, coefficients={"x": 0.8}, alpha=0.5, seed=7),
+    "ragged-singletons": SimProfile(
+        n_clusters=150, size_distribution=((1, 0.4), (2, 0.3), (5, 0.3)),
+        covariate_specs=(BINARY_X,), intercept=-0.4, coefficients={"x": 0.6},
+        alpha=0.35, seed=11),
+    "uniform-and-constant-factor": SimProfile(
+        n_clusters=120, size_distribution=((2, 0.5), (3, 0.5)),
+        covariate_specs=(
+            CovariateSpec("u", "covariate", ("uniform", -1.0, 2.0)),
+            CovariateSpec("g", "factor", ((0.0, 0.2), (1.0, 0.3), (2.0, 0.5)), True),
+        ),
+        intercept=-0.3, coefficients={"u": 0.7, "g": -0.4}, alpha=0.3, seed=5),
+    "undefined-coefficient": SimProfile(
+        n_clusters=100, size_distribution=((2, 0.5), (3, 0.5)),
+        covariate_specs=(BINARY_X,), intercept=-0.2,
+        coefficients={"x": 0.5, "absent": 1.3}, alpha=0.2, seed=3),
+    "alpha-zero": paper_profile(200, 0.0, 9),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STREAM_PROFILES))
+def test_generate_matches_per_cluster_reference(name, tmp_path):
+    profile = STREAM_PROFILES[name]
+    assert csv_bytes(generate(profile), tmp_path, "new.csv") == csv_bytes(
+        reference_generate(profile), tmp_path, "reference.csv")
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_clusters=st.integers(1, 30),
+    max_size=st.integers(1, 5),
+    alpha=st.sampled_from([0.0, 0.1, 0.3]),
+    constant=st.booleans(),
+    continuous=st.booleans(),
+)
+def test_generate_stream_property(seed, n_clusters, max_size, alpha, constant,
+                                  continuous, tmp_path_factory):
+    specs = [CovariateSpec("x", "factor", ((0.0, 0.3), (1.0, 0.7)), constant)]
+    if continuous:
+        specs.append(CovariateSpec("u", "covariate", ("uniform", -0.5, 0.5)))
+    profile = SimProfile(
+        n_clusters=n_clusters,
+        size_distribution=tuple((m, 1.0 / max_size) for m in range(1, max_size + 1)),
+        covariate_specs=tuple(specs), intercept=-0.2,
+        coefficients={"x": 0.4, "u": 0.8}, alpha=alpha, seed=seed)
+    tmp_path = tmp_path_factory.mktemp("stream")
+    assert csv_bytes(generate(profile), tmp_path, "new.csv") == csv_bytes(
+        reference_generate(profile), tmp_path, "reference.csv")
+
+
+# SHA-256 of the written CSVs, recorded when every draw was its own call
+PAPER_DIGESTS = {
+    3: "6fa18d1e54c00719844ea06439ab1731348fe1eec852ccc8398376bd94923056",
+    2024: "dd521ba20d768fd916be2d19d1119451e09a8707687fc5926c23b59faa6227b5",
+}
+MARGINALS_DIGESTS = {
+    3: "14a5c757b7b15b0965abcd9608ea4ad33b7790984aa509b364bd4ea2f93de765",
+    2024: "5f4bc2565742c7fdafd8e076bb595b7cf7ded23f3856fce589f9f37caddcf2b6",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PAPER_DIGESTS))
+def test_paper_datasets_keep_their_digests(seed, tmp_path):
+    paper = csv_bytes(generate_paper(400, 0.25, seed), tmp_path, "paper.csv")
+    marginals = csv_bytes(build_paper_marginals(seed), tmp_path, "marginals.csv")
+    assert hashlib.sha256(paper).hexdigest() == PAPER_DIGESTS[seed]
+    assert hashlib.sha256(marginals).hexdigest() == MARGINALS_DIGESTS[seed]
+
+
 # ----------------------------------------------------------------- validation
 
 def test_profile_probabilities_must_sum_to_one():
     with pytest.raises(ValueError):
         SimProfile(size_distribution=((1, 0.5), (2, 0.4)))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: SimProfile(size_distribution=((1, 1.5), (2, -0.5))),
+    lambda: SimProfile(size_distribution=((0, 0.5), (2, 0.5))),
+    lambda: CovariateSpec("x", "factor", ((0.0, -0.25), (1.0, 1.25))),
+    lambda: CovariateSpec("u", "covariate", ("uniform", 1.0, -1.0)),
+    lambda: CovariateSpec("u", "covariate", ("uniform", 0.0, math.inf)),
+], ids=["negative-size-probability", "empty-cluster", "negative-level-probability",
+        "reversed-range", "infinite-range"])
+def test_profile_rejects_undrawable_settings(make):
+    with pytest.raises(ValueError):
+        make()
 
 
 def test_profile_alpha_range():
@@ -192,6 +348,22 @@ def test_infeasible_correlation_raises():
     )
     with pytest.raises(InfeasibleCorrelation):
         generate(profile)
+
+
+def test_infeasible_correlation_names_the_first_cluster_that_fails():
+    # sizes 2 and 3 are factored as separate stacks; the error must still
+    # name the margins of the first infeasible cluster in dataset order
+    profile = SimProfile(
+        n_clusters=40, size_distribution=((2, 0.5), (3, 0.5)),
+        covariate_specs=(
+            CovariateSpec("x", "factor", ((0.0, 0.3), (1.0, 0.4), (2.0, 0.3)), False),
+        ),
+        intercept=-2.5, coefficients={"x": 2.5}, alpha=0.3, seed=4)
+    with pytest.raises(InfeasibleCorrelation) as expected:
+        reference_generate(profile)
+    with pytest.raises(InfeasibleCorrelation) as raised:
+        generate(profile)
+    assert str(raised.value) == str(expected.value)
 
 
 # ------------------------------------------------------------- paper marginals
