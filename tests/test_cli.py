@@ -148,6 +148,15 @@ def test_non_finite_cell_is_data_error_naming_row_and_column(tmp_path, capsys):
     assert "row 3, column 'AREA1'" in capsys.readouterr().err
 
 
+def test_blank_cluster_id_is_data_error_naming_row_and_column(tmp_path, capsys):
+    path = tmp_path / "blank.csv"
+    path.write_text("ID,AREA1,LOOSENING\n1,1,0\n1,0,1\n,1,1\n2,0,1\n")
+    code = main(["fit", "--data", str(path), "--response", "LOOSENING",
+                 "--cluster", "ID", "--factors", "AREA1:desc"])
+    assert code == 3
+    assert "row 4, column 'ID'" in capsys.readouterr().err
+
+
 # -------------------------------------------------------------------- crosstab
 
 def test_crosstab_panels(paper_csv, capsys):

@@ -89,6 +89,15 @@ def test_load_rejects_non_finite_cells(tmp_path, text, within, col):
     assert (err.value.row, err.value.col) == (3, col)
 
 
+def test_load_rejects_blank_cluster_id(tmp_path):
+    # blank ids must not be pooled into one cluster with id ""
+    path = tmp_path / "blank.csv"
+    path.write_text("ID,X,Y\n,1,0\n,0,1\n1,1,1\n,1,0\n")
+    with pytest.raises(UnparseableValue) as err:
+        load_csv(path, "ID", "Y")
+    assert (err.value.row, err.value.col) == (2, "ID")
+
+
 def test_load_duplicate_within_position(tmp_path):
     path = tmp_path / "dup.csv"
     path.write_text("ID,T,Y\n1,3,0\n1,3,1\n")
