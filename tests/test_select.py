@@ -185,3 +185,14 @@ def test_all_candidates_failed(signal_ds):
     with pytest.raises(AllCandidatesFailed):
         run_selection(ds, BINOMIAL, [TermCoding("CONST", "covariate")],
                       [Independent()], mode="exhaustive")
+
+
+def test_domain_error_candidate_recorded_as_failed():
+    # AR-1 Fisher scoring drives a fitted mean out of (0, 1) on this small
+    # dataset; the candidate must fail, not abort the whole selection
+    ds = recode_response(generate_paper(40, 0.3, 2234450039), "LOOSENING")
+    terms = terms_named("AGE1", "GENDER", "NINSERT1", "AREA1", "LENGTH1", "DIAMETER")
+    report = run_selection(ds, BINOMIAL, terms, [AR1()], mode="stepwise", max_size=2)
+    failed = [c for c in report.candidates if not c.converged]
+    assert failed and all(np.isnan(c.qic) for c in failed)
+    assert report.best_structure == "ar1"
