@@ -24,7 +24,7 @@ print(f"dataset: {ds.n_clusters} patients, {ds.n_total} miniscrews")
 
 # ---------------------------------------------------------------------------
 # How many screws per patient?  Sizes follow the reference histogram exactly.
-sizes = collections.Counter(c.size for c in ds.clusters)
+sizes = collections.Counter(ds.cluster_sizes())
 print("\nscrews per patient:")
 for size, count in sorted(sizes.items()):
     print(f"  {size}: {count:3d} patients ({100 * count / ds.n_clusters:.1f}%)")

@@ -42,8 +42,8 @@ for level, eta in ((0.0, -1.0), (1.0, -0.2)):
 # calibrated per margin pair, so measure within each covariate pattern
 # (pooling pairs with different margins would blur the comparison).
 pairs = {}
-for c in ds.clusters:
-    values = [(r.covariates["x"], r.response) for r in c.rows]
+for start, size in zip(ds.starts.tolist(), ds.sizes.tolist()):
+    values = list(zip(x[start:start + size].tolist(), y[start:start + size].tolist()))
     for (xj, yj), (xk, yk) in combinations(values, 2):
         key = tuple(sorted((xj, xk)))
         pairs.setdefault(key, []).append((yj, yk) if xj <= xk else (yk, yj))
@@ -57,7 +57,7 @@ for key, values in sorted(pairs.items()):
 # ---------------------------------------------------------------------------
 # Cluster sizes against the reference histogram the default profile uses.
 ds_sizes = generate(SimProfile(n_clusters=10_000, alpha=0.0, seed=7))
-counts = collections.Counter(c.size for c in ds_sizes.clusters)
+counts = collections.Counter(ds_sizes.cluster_sizes())
 print("\ncluster-size frequencies (10k clusters):")
 for size, probability in TABLE_SIZES:
     print(f"  size {size}: drawn {counts[size] / 10_000:.3f} "
@@ -66,8 +66,7 @@ for size, probability in TABLE_SIZES:
 # ---------------------------------------------------------------------------
 # Identical seeds give identical datasets, byte for byte.
 again = generate(profile)
-same = all(
-    a.responses == b.responses and a.positions == b.positions
-    for a, b in zip(ds.clusters, again.clusters)
-)
+same = (ds.cluster_sizes() == again.cluster_sizes()
+        and np.array_equal(ds.response, again.response)
+        and np.array_equal(ds.positions, again.positions))
 print(f"\nsame profile + seed reproduces the dataset exactly: {same}")

@@ -10,10 +10,8 @@ simulator.
 """
 
 from .data import (
-    Cluster,
     ClusteredDataset,
     DesignMatrix,
-    Row,
     TermCoding,
     build_design,
     complete_cases,

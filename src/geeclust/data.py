@@ -8,12 +8,28 @@ non-reference level with explicit reference-category control, mirroring the
 ascending/descending category-order semantics of SPSS's estimating-equation
 dialogs.  Datasets and design matrices are immutable once built and safe to
 share across concurrent fits.
+
+A dataset is columnar.  Rows are stored cluster by cluster, clusters in
+order and rows in occasion order inside each, as:
+
+* `ids`, one string per cluster, and `sizes`, its row count; `starts` holds
+  the offset of each cluster's first row;
+* `positions`, the int occasion index of each row, strictly increasing
+  inside a cluster;
+* `response`, the float response of each row;
+* `columns`, one array per covariate in dataset row order: float64 with NaN
+  for a missing value when every value is numeric, and an object array of
+  floats, strings and None (missing) only when the column holds text.
+
+NaN can stand for "missing" because `load_csv` rejects cells that parse to
+nan or inf.  Every array is read-only.
 """
 
 import csv
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import isfinite
+from numbers import Real
 from typing import Mapping, Optional
 
 import numpy as np
@@ -30,26 +46,8 @@ from .errors import (
 log = logging.getLogger("geeclust.data")
 
 
-def _parse_cell(text, row, col):
-    """'' -> None, finite numeric text -> float, other text kept as string.
-
-    Text that parses to nan or +-inf ("nan", "inf", "-Infinity") raises
-    UnparseableValue(row, col): no response, covariate or within value can
-    use it as a number.
-    """
-    if text is None or text == "":
-        return None
-    try:
-        value = float(text)
-    except ValueError:
-        return text
-    if isfinite(value):
-        return value
-    raise UnparseableValue(row, col, text)
-
-
 def _format_cell(value) -> str:
-    if value is None:
+    if value is None or value != value:
         return ""
     if isinstance(value, float):
         if value == int(value) and abs(value) < 1e15:
@@ -58,105 +56,204 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-@dataclass(frozen=True)
-class Row:
-    """One observation: occasion index, response, and raw covariates."""
-
-    position: int
-    response: float
-    covariates: Mapping[str, object]
+def _frozen(values, dtype) -> np.ndarray:
+    array = np.asarray(values, dtype=dtype).view()
+    array.setflags(write=False)
+    return array
 
 
-@dataclass(frozen=True)
-class Cluster:
-    """All observations of one subject, sorted ascending by position."""
+def _as_column(values) -> np.ndarray:
+    """A read-only covariate column.
 
-    id: str
-    rows: tuple
-
-    def __post_init__(self):
-        if not self.rows:
-            raise ValueError(f"cluster {self.id!r} has no rows")
-        positions = [r.position for r in self.rows]
-        if positions != sorted(positions):
-            raise ValueError(f"cluster {self.id!r} rows not sorted by position")
-        if len(set(positions)) != len(positions):
-            raise DuplicateWithinPosition(self.id)
-
-    @property
-    def size(self) -> int:
-        return len(self.rows)
-
-    @property
-    def positions(self):
-        return tuple(r.position for r in self.rows)
-
-    @property
-    def responses(self):
-        return tuple(r.response for r in self.rows)
+    float64 with NaN for missing when every value is a number or missing;
+    otherwise an object array holding None for missing (None or NaN in).
+    """
+    if isinstance(values, np.ndarray) and values.dtype.kind in "fiub":
+        return _frozen(values, float)
+    items = [None if v is None or v != v else v for v in values]
+    if all(v is None or isinstance(v, Real) for v in items):
+        return _frozen([np.nan if v is None else v for v in items], float)
+    column = np.empty(len(items), dtype=object)
+    column[:] = items
+    column.setflags(write=False)
+    return column
 
 
-@dataclass(frozen=True)
+def _missing(column) -> np.ndarray:
+    if column.dtype == object:
+        return np.fromiter((v is None for v in column), bool, len(column))
+    return np.isnan(column)
+
+
+def _first_text(column) -> int:
+    """Index of the first value of an object column that is neither missing
+    nor a float (columns are only stored as objects when one exists)."""
+    return next(i for i, v in enumerate(column) if v is not None and not isinstance(v, float))
+
+
+@dataclass(frozen=True, eq=False)
 class ClusteredDataset:
     """Rows grouped by cluster with within-cluster occasion indices.
 
-    `variable_names` lists every covariate column (the within-subject column,
-    when declared, stays among them).  `n_total` always equals the sum of
-    cluster sizes.
+    Built from `ids` (one per cluster), `sizes` (rows per cluster), row-wise
+    `positions` and `response`, and `columns` mapping each covariate name to
+    its row-wise values (lists or arrays; None or NaN marks a missing value).
+    `variable_names` lists the covariate columns in order (the within-subject
+    column, when declared, stays among them).  `n_total` always equals the
+    sum of cluster sizes.
     """
 
-    clusters: tuple
-    variable_names: tuple
+    ids: tuple
+    sizes: np.ndarray
+    positions: np.ndarray
+    response: np.ndarray
+    columns: Mapping[str, np.ndarray]
     cluster_col: str = "ID"
     response_col: str = "Y"
     within_col: Optional[str] = None
+    starts: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        ids = [c.id for c in self.clusters]
+        ids = tuple(self.ids)
+        sizes = _frozen(self.sizes, np.int64)
+        positions = _frozen(self.positions, np.int64)
+        response = _frozen(self.response, float)
+        columns = {name: _as_column(v) for name, v in self.columns.items()}
         if len(set(ids)) != len(ids):
             raise ValueError("cluster ids are not unique")
+        if len(ids) != len(sizes):
+            raise ValueError(f"{len(ids)} cluster ids but {len(sizes)} sizes")
+        if np.any(sizes < 1):
+            raise ValueError(f"cluster {ids[int(np.argmax(sizes < 1))]!r} has no rows")
+        n = int(sizes.sum())
+        for name, values in (("positions", positions), ("response", response),
+                             *columns.items()):
+            if len(values) != n:
+                raise ValueError(f"{name} has {len(values)} rows, clusters have {n}")
+        starts = np.cumsum(sizes) - sizes
+        # a step between rows of one cluster must be positive
+        step = np.diff(positions)
+        step[starts[1:] - 1] = 1
+        if np.any(step <= 0):
+            k = int(np.argmax(step <= 0))
+            i = int(np.searchsorted(starts, k, side="right")) - 1
+            inside = step[starts[i]:starts[i] + sizes[i] - 1]
+            if np.any(inside < 0):
+                raise ValueError(f"cluster {ids[i]!r} rows not sorted by position")
+            raise DuplicateWithinPosition(ids[i])
+        starts.setflags(write=False)
+        for name, value in (("ids", ids), ("sizes", sizes), ("positions", positions),
+                            ("response", response), ("columns", columns),
+                            ("starts", starts)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def variable_names(self) -> tuple:
+        return tuple(self.columns)
 
     @property
     def n_total(self) -> int:
-        return sum(c.size for c in self.clusters)
+        return len(self.response)
 
     @property
     def n_clusters(self) -> int:
-        return len(self.clusters)
+        return len(self.ids)
 
     @property
     def max_position(self) -> int:
-        return max(r.position for c in self.clusters for r in c.rows)
+        return int(self.positions.max())
 
     def cluster_sizes(self):
-        return [c.size for c in self.clusters]
-
-    def iter_rows(self):
-        for c in self.clusters:
-            for r in c.rows:
-                yield c, r
+        return self.sizes.tolist()
 
     def response_vector(self) -> np.ndarray:
-        return np.array([r.response for _, r in self.iter_rows()], dtype=float)
+        return self.response.copy()
 
     def column(self, name):
-        """Values of one covariate column in dataset order."""
+        """Values of one covariate column in dataset order, None for missing."""
         if name == self.response_col:
-            return [r.response for _, r in self.iter_rows()]
-        if name not in self.variable_names:
+            return self.response.tolist()
+        if name not in self.columns:
             raise UnknownVariable(f"no variable named {name!r}")
-        return [r.covariates.get(name) for _, r in self.iter_rows()]
+        values = self.columns[name]
+        if values.dtype == object:
+            return values.tolist()
+        missing = np.isnan(values)
+        values = values.tolist()
+        if missing.any():
+            for i in np.flatnonzero(missing).tolist():
+                values[i] = None
+        return values
+
+    def take(self, keep) -> "ClusteredDataset":
+        """The rows where `keep` is true; clusters left empty disappear.
+
+        Surviving rows keep their occasion indices.
+        """
+        counts = (np.add.reduceat(keep, self.starts, dtype=np.int64)
+                  if self.n_clusters else self.sizes)
+        alive = counts > 0
+        return replace(
+            self,
+            ids=tuple(cid for cid, live in zip(self.ids, alive.tolist()) if live),
+            sizes=counts[alive],
+            positions=self.positions[keep],
+            response=self.response[keep],
+            columns={name: values[keep] for name, values in self.columns.items()},
+        )
 
 
-def load_csv(path, cluster_col, response_col, within_col=None) -> ClusteredDataset:
-    """Read a clustered dataset from a CSV file.
+def _parse_column(cells):
+    """Parse one CSV column.
 
-    Rows are grouped by `cluster_col` (clusters keep first-appearance order)
-    and sorted within a cluster by `within_col` when given, file order
-    otherwise; rows with a missing within value keep file order after the
-    observed ones.  Occasion indices are the global ranks of the distinct
-    within values (arrival order 1..n_i when no within column is declared).
-    Rows with a missing response are dropped with a logged count.
+    Returns (values, first_bad, is_text): `values` as `_as_column` stores
+    them (blank cells missing, numeric text as floats, other text kept);
+    `first_bad` is the index of the first cell that parses to nan or +-inf,
+    or None; `is_text` flags the cells kept as text (None when there are
+    none).
+    """
+    try:
+        values = np.fromiter(map(float, cells), float, len(cells))
+    except ValueError:
+        pass
+    else:
+        finite = np.isfinite(values)
+        return values, (None if finite.all() else int(np.argmin(finite))), None
+    parsed, is_text, first_bad = [], np.zeros(len(cells), dtype=bool), None
+    for i, cell in enumerate(cells):
+        if cell == "":
+            parsed.append(None)
+            continue
+        try:
+            value = float(cell)
+        except ValueError:
+            parsed.append(cell)
+            is_text[i] = True
+            continue
+        if first_bad is None and not isfinite(value):
+            first_bad = i
+        parsed.append(value)
+    return _as_column(parsed), first_bad, (is_text if is_text.any() else None)
+
+
+def _cluster_key(text):
+    """Cluster id of a cluster cell: numeric text is normalised ("01" and
+    "1.0" are cluster "1"), other text kept.  A blank cell gives None, and
+    a cell that parses to nan or inf gives that float, which marks it bad."""
+    if text == "":
+        return None
+    try:
+        value = float(text)
+    except ValueError:
+        return text
+    return _format_cell(value) if isfinite(value) else value
+
+
+def _read_columns(path, required):
+    """Header, file row numbers and cell columns of a CSV file.
+
+    Blank lines are skipped; short rows are padded with blank cells, and
+    cells past the header's width are ignored.
     """
     try:
         handle = open(path, "r", encoding="utf-8", newline="")
@@ -168,99 +265,152 @@ def load_csv(path, cluster_col, response_col, within_col=None) -> ClusteredDatas
             header = next(reader)
         except StopIteration:
             raise MissingColumn(f"{path}: empty file") from None
-        for col in [cluster_col, response_col] + ([within_col] if within_col else []):
+        for col in required:
             if col not in header:
                 raise MissingColumn(f"{path}: column {col!r} not in header")
-        idx = {name: i for i, name in enumerate(header)}
-        variable_names = tuple(
-            name for name in header if name not in (cluster_col, response_col)
-        )
+        table = list(reader)
+    width = len(header)
+    nonblank = np.fromiter(map(any, table), bool, len(table))
+    row_nums = (np.flatnonzero(nonblank) + 2).tolist()
+    if not nonblank.all():
+        table = [cells for cells in table if any(cells)]
+    if table and min(map(len, table)) < width:
+        table = [cells + [""] * (width - len(cells)) for cells in table]
+    return header, row_nums, list(zip(*table)) if table else [()] * width
 
-        groups: dict = {}
-        order = []
-        dropped = 0
-        for row_num, cells in enumerate(reader, start=2):
-            if not any(cells):
-                continue
-            rec = {name: _parse_cell(cells[i], row_num, name) if i < len(cells) else None
-                   for name, i in idx.items()}
-            raw_response = cells[idx[response_col]] if idx[response_col] < len(cells) else ""
-            if raw_response == "":
-                dropped += 1
-                continue
-            response = rec[response_col]
-            if not isinstance(response, float):
-                raise UnparseableValue(row_num, response_col, raw_response)
-            within = None
-            if within_col is not None:
-                within = rec[within_col]
-                if within is not None and not isinstance(within, float):
-                    raise UnparseableValue(row_num, within_col, within)
-            cid = _format_cell(rec[cluster_col]) if rec[cluster_col] is not None else ""
-            covariates = {name: rec[name] for name in variable_names}
-            if cid not in groups:
-                groups[cid] = []
-                order.append(cid)
-            groups[cid].append((within, row_num, response, covariates))
 
+def _occasions(code, ids, within):
+    """Row order and occasion positions of loaded rows.
+
+    `code` holds each row's cluster index (rows in file order) and `within`
+    its within value, NaN where missing, or None without a within column.
+    Rows are ordered by cluster, then by within rank with missing-within
+    rows last in file order, which number on from the last global rank.
+    """
+    sizes = np.bincount(code, minlength=len(ids))
+    occasion = np.arange(len(code)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    if within is None:
+        return np.argsort(code, kind="stable"), occasion + 1
+    missing = np.isnan(within)
+    observed = np.unique(within[~missing])
+    rank = np.where(missing, 0, np.searchsorted(observed, within) + 1)
+    order = np.lexsort((np.arange(len(code)), rank, missing, code))
+    rank, missing, code_s = rank[order], missing[order], code[order]
+    dup = (code_s[1:] == code_s[:-1]) & (rank[1:] == rank[:-1]) & ~missing[1:]
+    if dup.any():
+        c = int(code_s[int(np.argmax(dup))])
+        seen = set()
+        for w in within[code == c].tolist():
+            if w in seen:
+                raise DuplicateWithinPosition(ids[c], w)
+            if w == w:
+                seen.add(w)
+    n_observed = np.bincount(code_s[~missing], minlength=len(ids))
+    tail = len(observed) + occasion - np.repeat(n_observed, sizes) + 1
+    return order, np.where(missing, tail, rank)
+
+
+def load_csv(path, cluster_col, response_col, within_col=None) -> ClusteredDataset:
+    """Read a clustered dataset from a CSV file.
+
+    Rows are grouped by `cluster_col` (clusters keep first-appearance order)
+    and sorted within a cluster by `within_col` when given, file order
+    otherwise; rows with a missing within value keep file order after the
+    observed ones.  Occasion indices are the global ranks of the distinct
+    within values (arrival order 1..n_i when no within column is declared).
+    Rows with a missing response are dropped with a logged count; a blank
+    cluster id on any other row is an error.
+
+    Each bad cell raises UnparseableValue(row, column), file rows counted
+    from 1 at the header: the first row holding one wins, and inside a row
+    a cell that parses to nan or inf (leftmost in header order) comes first,
+    then a text response, a text within value, and a blank cluster id.
+    """
+    header, row_nums, raw = _read_columns(
+        path, [cluster_col, response_col] + ([within_col] if within_col else []))
+    idx = {name: i for i, name in enumerate(header)}
+
+    # candidate errors as (row index, stage, header order, column, cell)
+    errors = []
+    parsed = {}
+    cells = raw[idx[cluster_col]]
+    keys = {text: _cluster_key(text) for text in dict.fromkeys(cells)}
+    for order, (name, i) in enumerate(idx.items()):
+        if name == cluster_col:
+            bad = min((cells.index(text) for text, key in keys.items()
+                       if isinstance(key, float)), default=None)
+        else:
+            parsed[name] = _parse_column(raw[i])
+            bad = parsed[name][1]
+        if bad is not None:
+            errors.append((bad, 0, order, name, raw[i][bad]))
+    # a blank response drops its row: no later check applies to it
+    response, _, response_text = parsed[response_col]
+    keep = ~_missing(response)
+    if response_text is not None:
+        k = int(np.argmax(response_text))
+        errors.append((k, 1, 0, response_col, raw[idx[response_col]][k]))
+    if within_col is not None:
+        within_text = parsed[within_col][2]
+        if within_text is not None and np.any(within_text & keep):
+            k = int(np.argmax(within_text & keep))
+            errors.append((k, 2, 0, within_col, raw[idx[within_col]][k]))
+    kept = np.flatnonzero(keep)
+    kept_cells = cells if len(kept) == len(cells) else [cells[k] for k in kept.tolist()]
+    if "" in kept_cells:
+        errors.append((int(kept[kept_cells.index("")]), 3, 0, cluster_col, ""))
+    if errors:
+        k, _, _, name, cell = min(errors)
+        raise UnparseableValue(row_nums[k], name, cell)
+
+    dropped = len(cells) - len(kept)
     if dropped:
         log.info("dropped %d rows with missing response", dropped)
 
-    observed = sorted(
-        {w for rows in groups.values() for (w, _, _, _) in rows if w is not None}
-    )
-    rank = {w: i + 1 for i, w in enumerate(observed)}
-
-    clusters = []
-    for cid in order:
-        entries = groups[cid]
-        if within_col is not None:
-            seen = {}
-            for w, row_num, _, _ in entries:
-                if w is None:
-                    continue
-                if w in seen:
-                    raise DuplicateWithinPosition(cid, w)
-                seen[w] = row_num
-            entries = sorted(
-                entries, key=lambda e: (0, rank[e[0]]) if e[0] is not None else (1, e[1])
-            )
-            tail = len(observed)
-            rows = []
-            for w, _, response, covariates in entries:
-                if w is not None:
-                    pos = rank[w]
-                else:
-                    tail += 1
-                    pos = tail
-                rows.append(Row(pos, response, covariates))
-        else:
-            rows = [
-                Row(i + 1, response, covariates)
-                for i, (_, _, response, covariates) in enumerate(entries)
-            ]
-        clusters.append(Cluster(cid, tuple(rows)))
-
+    # clusters in order of first appearance of their normalised id
+    first, code_of = {}, {}
+    for text in dict.fromkeys(kept_cells):
+        code_of[text] = first.setdefault(keys[text], len(first))
+    code = np.fromiter(map(code_of.__getitem__, kept_cells), np.int64, len(kept))
+    ids = tuple(first)
+    # text left in the within column sits on dropped rows only
+    within = _as_column(parsed[within_col][0][kept]) if within_col is not None else None
+    order, positions = _occasions(code, ids, within)
+    rows = kept[order]
     return ClusteredDataset(
-        clusters=tuple(clusters),
-        variable_names=variable_names,
+        ids=ids,
+        sizes=np.bincount(code, minlength=len(ids)),
+        positions=positions,
+        response=response[rows],
+        columns={name: parsed[name][0][rows]
+                 for name in idx if name not in (cluster_col, response_col)},
         cluster_col=cluster_col,
         response_col=response_col,
         within_col=within_col,
     )
 
 
+def _format_column(values) -> list:
+    """The CSV text of every cell of a column, each distinct value formatted once."""
+    if values.dtype == object:
+        return [_format_cell(v) for v in values.tolist()]
+    levels, codes = np.unique(values, return_inverse=True)
+    text = np.array([_format_cell(v) for v in levels.tolist()], dtype=object)
+    return text[codes].tolist()
+
+
 def write_csv(ds: ClusteredDataset, path) -> None:
     """Write a dataset back to CSV (header: cluster, covariates, response)."""
     header = [ds.cluster_col, *ds.variable_names, ds.response_col]
+    ids = np.empty(ds.n_clusters, dtype=object)
+    ids[:] = ds.ids
+    columns = [np.repeat(ids, ds.sizes).tolist()]
+    columns += [_format_column(values) for values in ds.columns.values()]
+    columns.append(_format_column(ds.response))
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
-        for c, r in ds.iter_rows():
-            cells = [c.id]
-            cells += [_format_cell(r.covariates.get(name)) for name in ds.variable_names]
-            cells.append(_format_cell(r.response))
-            writer.writerow(cells)
+        writer.writerows(zip(*columns))
 
 
 def derive_threshold(ds, source, threshold, new_name, strict_above=True):
@@ -269,33 +419,17 @@ def derive_threshold(ds, source, threshold, new_name, strict_above=True):
     strict_above=True codes 1 when value > threshold (0 at or below);
     strict_above=False codes 1 when value >= threshold.
     """
-    if source not in ds.variable_names:
+    if source not in ds.columns:
         raise UnknownVariable(f"no variable named {source!r}")
-    if new_name in ds.variable_names or new_name in (ds.cluster_col, ds.response_col):
+    if new_name in ds.columns or new_name in (ds.cluster_col, ds.response_col):
         raise ValueError(f"column {new_name!r} already exists")
-    clusters = []
-    for c in ds.clusters:
-        rows = []
-        for i, r in enumerate(c.rows):
-            value = r.covariates.get(source)
-            if value is None:
-                coded = None
-            else:
-                if not isinstance(value, float):
-                    raise UnparseableValue(i, source, value)
-                above = value > threshold if strict_above else value >= threshold
-                coded = 1.0 if above else 0.0
-            covariates = dict(r.covariates)
-            covariates[new_name] = coded
-            rows.append(Row(r.position, r.response, covariates))
-        clusters.append(Cluster(c.id, tuple(rows)))
-    return ClusteredDataset(
-        tuple(clusters),
-        ds.variable_names + (new_name,),
-        ds.cluster_col,
-        ds.response_col,
-        ds.within_col,
-    )
+    values = ds.columns[source]
+    if values.dtype == object:
+        i = _first_text(values)
+        raise UnparseableValue(i, source, values[i])
+    above = values > threshold if strict_above else values >= threshold
+    coded = np.where(np.isnan(values), np.nan, above.astype(float))
+    return replace(ds, columns={**ds.columns, new_name: coded})
 
 
 def recode_response(ds, response, reference="first"):
@@ -310,25 +444,13 @@ def recode_response(ds, response, reference="first"):
         )
     if reference not in ("first", "last"):
         raise ValueError("reference must be 'first' or 'last'")
-    values = sorted({r.response for _, r in ds.iter_rows()})
+    values = np.unique(ds.response)
     if len(values) != 2:
         raise NonBinaryResponse(
             f"response takes {len(values)} distinct values, need exactly 2"
         )
     event = values[1] if reference == "first" else values[0]
-    clusters = tuple(
-        Cluster(
-            c.id,
-            tuple(
-                Row(r.position, 1.0 if r.response == event else 0.0, r.covariates)
-                for r in c.rows
-            ),
-        )
-        for c in ds.clusters
-    )
-    return ClusteredDataset(
-        clusters, ds.variable_names, ds.cluster_col, ds.response_col, ds.within_col
-    )
+    return replace(ds, response=(ds.response == event).astype(float))
 
 
 def complete_cases(ds, variables):
@@ -338,31 +460,16 @@ def complete_cases(ds, variables):
     rows are preserved so correlation templates stay aligned.
     """
     for name in variables:
-        if name not in ds.variable_names:
+        if name not in ds.columns:
             raise UnknownVariable(f"no variable named {name!r}")
-    clusters = []
-    dropped = 0
-    for c in ds.clusters:
-        rows = []
-        for r in c.rows:
-            if any(r.covariates.get(name) is None for name in variables):
-                dropped += 1
-            else:
-                rows.append(r)
-        if rows:
-            clusters.append(Cluster(c.id, tuple(rows)))
-    if dropped:
-        log.info("dropped %d rows with missing values in %s", dropped, list(variables))
-    return (
-        ClusteredDataset(
-            tuple(clusters),
-            ds.variable_names,
-            ds.cluster_col,
-            ds.response_col,
-            ds.within_col,
-        ),
-        dropped,
-    )
+    missing = np.zeros(ds.n_total, dtype=bool)
+    for name in variables:
+        missing |= _missing(ds.columns[name])
+    dropped = int(missing.sum())
+    if not dropped:
+        return ds, 0
+    log.info("dropped %d rows with missing values in %s", dropped, list(variables))
+    return ds.take(~missing), dropped
 
 
 @dataclass(frozen=True)
@@ -403,8 +510,12 @@ class DesignMatrix:
 
 
 def _ordered_levels(values, order):
-    numeric = all(isinstance(v, float) for v in values)
-    levels = sorted(values) if numeric else sorted(values, key=str)
+    """Distinct values of a column in category order: numeric columns sort
+    by value, text columns by their string form."""
+    if values.dtype == object:
+        levels = sorted(set(values.tolist()), key=str)
+    else:
+        levels = np.unique(values).tolist()
     if order == "descending":
         levels = levels[::-1]
     return levels
@@ -422,30 +533,28 @@ def build_design(ds, terms) -> DesignMatrix:
     columns = [np.ones(n)]
     labels = ["(Intercept)"]
     coding_map = {}
-    row_index = {name: i for i, name in enumerate(ds.variable_names)}
     for term in terms:
-        if term.name not in row_index:
+        if term.name not in ds.columns:
             raise UnknownVariable(f"no variable named {term.name!r}")
-        values = ds.column(term.name)
-        for i, v in enumerate(values):
-            if v is None:
-                raise UnparseableValue(i, term.name, None)
+        values = ds.columns[term.name]
+        missing = _missing(values)
+        if missing.any():
+            raise UnparseableValue(int(np.argmax(missing)), term.name, None)
         if term.kind == "covariate":
-            for i, v in enumerate(values):
-                if not isinstance(v, float):
-                    raise UnparseableValue(i, term.name, v)
-            columns.append(np.asarray(values, dtype=float))
+            if values.dtype == object:
+                i = _first_text(values)
+                raise UnparseableValue(i, term.name, values[i])
+            columns.append(values)
             labels.append(term.name)
             continue
-        levels = _ordered_levels(set(values), term.category_order)
+        levels = _ordered_levels(values, term.category_order)
         if len(levels) < 2:
             raise ConstantFactor(
                 f"factor {term.name!r} has a single observed level {levels!r}"
             )
         for level in levels[:-1]:
-            indicator = np.array([1.0 if v == level else 0.0 for v in values])
             coding_map[(term.name, level)] = len(columns)
-            columns.append(indicator)
+            columns.append((values == level).astype(float))
             labels.append(f"{term.name}={_format_cell(level)}")
     values = np.column_stack(columns)
     values.setflags(write=False)

@@ -480,9 +480,7 @@ def fit_gee(x, ds, f, cs, options: GeeOptions = None) -> GeeFit:
         raise ValueError(f"design has {n} rows but dataset has {ds.n_total}")
     if np.linalg.matrix_rank(values) < p:
         raise RankDeficient("design matrix is rank deficient")
-    sizes = np.array(ds.cluster_sizes(), dtype=int)
-    starts = np.cumsum(sizes) - sizes
-    positions = np.array([q for c in ds.clusters for q in c.positions], dtype=int)
+    sizes, starts, positions = ds.sizes, ds.starts, ds.positions
     groups = []   # per cluster size m: (G, m) row gather and its gathered data
     for m in np.unique(sizes):
         rows = starts[sizes == m][:, None] + np.arange(m)

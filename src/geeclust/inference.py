@@ -3,6 +3,7 @@
 import math
 from dataclasses import dataclass
 
+import numpy as np
 from scipy import stats
 
 from .data import ClusteredDataset
@@ -123,21 +124,26 @@ def crosstab_2x2(ds: ClusteredDataset, factor) -> ContingencyTable:
     """
     if factor not in ds.variable_names:
         raise UnknownVariable(f"no variable named {factor!r}")
-    responses = [r.response for _, r in ds.iter_rows()]
-    fvalues = ds.column(factor)
-    if any(v is None for v in fvalues):
-        raise NonBinaryResponse(f"factor {factor!r} has missing values")
-    rlevels = sorted(set(responses))
-    flevels = sorted(set(fvalues), key=lambda v: (isinstance(v, str), v))
+    fvalues = ds.columns[factor]
+    if fvalues.dtype == object:
+        if any(v is None for v in fvalues):
+            raise NonBinaryResponse(f"factor {factor!r} has missing values")
+        flevels = sorted(set(fvalues.tolist()), key=lambda v: (isinstance(v, str), v))
+    else:
+        if np.isnan(fvalues).any():
+            raise NonBinaryResponse(f"factor {factor!r} has missing values")
+        flevels = np.unique(fvalues).tolist()
+    rlevels = np.unique(ds.response)
     if len(rlevels) != 2:
         raise NonBinaryResponse("response must take exactly two values")
     if len(flevels) != 2:
         raise NonBinaryResponse(f"factor {factor!r} must take exactly two values")
-    event, exposed = rlevels[1], flevels[1]
-    a = sum(1 for r, v in zip(responses, fvalues) if r == event and v == exposed)
-    b = sum(1 for r, v in zip(responses, fvalues) if r != event and v == exposed)
-    c = sum(1 for r, v in zip(responses, fvalues) if r == event and v != exposed)
-    d = sum(1 for r, v in zip(responses, fvalues) if r != event and v != exposed)
+    event = ds.response == rlevels[1]
+    exposed = fvalues == flevels[1]
+    a = int(np.sum(event & exposed))
+    b = int(np.sum(~event & exposed))
+    c = int(np.sum(event & ~exposed))
+    d = int(np.sum(~event & ~exposed))
     return ContingencyTable(a, b, c, d)
 
 
@@ -184,25 +190,22 @@ def concordance_summary(ds: ClusteredDataset, response) -> ConcordanceSummary:
         raise UnknownVariable(
             f"response column is {ds.response_col!r}, not {response!r}"
         )
-    values = sorted({r.response for _, r in ds.iter_rows()})
+    values = np.unique(ds.response)
     if len(values) != 2:
         raise NonBinaryResponse(
             f"response takes {len(values)} distinct values, need exactly 2"
         )
-    low, high = values
-    counts = {"all_success": 0, "all_failure": 0, "skewed": 0, "equal": 0}
-    singletons = 0
-    for c in ds.clusters:
-        if c.size == 1:
-            singletons += 1
-            continue
-        n_high = sum(1 for r in c.rows if r.response == high)
-        if n_high == 0:
-            counts["all_success"] += 1
-        elif n_high == c.size:
-            counts["all_failure"] += 1
-        elif 2 * n_high == c.size:
-            counts["equal"] += 1
-        else:
-            counts["skewed"] += 1
-    return ConcordanceSummary(singletons=singletons, **counts)
+    sizes = ds.sizes
+    n_high = np.add.reduceat(ds.response == values[1], ds.starts, dtype=np.int64)
+    multi = sizes > 1
+    # in a cluster of two or more rows at most one of these holds
+    all_success = int(np.sum(multi & (n_high == 0)))
+    all_failure = int(np.sum(multi & (n_high == sizes)))
+    equal = int(np.sum(multi & (2 * n_high == sizes)))
+    return ConcordanceSummary(
+        all_success=all_success,
+        all_failure=all_failure,
+        skewed=int(multi.sum()) - all_success - all_failure - equal,
+        equal=equal,
+        singletons=int(np.sum(~multi)),
+    )

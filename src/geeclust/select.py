@@ -17,6 +17,7 @@ from .data import build_design, complete_cases
 from .errors import (
     AllCandidatesFailed,
     ConstantFactor,
+    DomainError,
     NoConvergence,
     NotPositiveDefinite,
     PerfectSeparation,
@@ -119,7 +120,7 @@ def fit_candidate(ds, f, terms, subset, structure, options=None):
             converged=True,
         )
     except (NoConvergence, RankDeficient, NotPositiveDefinite,
-            PerfectSeparation, ConstantFactor) as exc:
+            PerfectSeparation, ConstantFactor, DomainError) as exc:
         log.info("candidate %s/%s failed: %s", structure.kind, subset, exc)
         return Candidate(
             structure=structure.kind,

@@ -49,7 +49,7 @@ from scipy import stats
 from scipy.optimize import brentq
 from scipy.special import expit, ndtri
 
-from .data import Cluster, ClusteredDataset, Row
+from .data import ClusteredDataset
 from .errors import InfeasibleCorrelation, NotPositiveDefinite
 from .linalg import spd_factor
 
@@ -310,24 +310,14 @@ def generate(profile: SimProfile) -> ClusteredDataset:
     z = np.concatenate(noise)
     if profile.alpha > 0.0:
         _latent_noise(z, margins, sizes, starts, profile.alpha)
-    responses = (z <= ndtri(margins)).astype(float).tolist()
-
-    names = tuple(spec.name for spec in specs)
-    values = [columns[name].tolist() for name in names]
-    covariates = ([dict(zip(names, row)) for row in zip(*values)] if names
-                  else [{} for _ in range(n_rows)])
-    rows = [Row(q, y, cov)
-            for q, y, cov in zip((within + 1).tolist(), responses, covariates)]
-    clusters = tuple(
-        Cluster(str(i + 1), tuple(rows[a:a + m]))
-        for i, (a, m) in enumerate(zip(starts.tolist(), sizes.tolist()))
-    )
     return ClusteredDataset(
-        clusters=clusters,
-        variable_names=names,
+        ids=tuple(str(i + 1) for i in range(profile.n_clusters)),
+        sizes=sizes,
+        positions=within + 1,
+        response=(z <= ndtri(margins)).astype(float),
+        columns=columns,
         cluster_col="ID",
         response_col=profile.response_name,
-        within_col=None,
     )
 
 
@@ -395,24 +385,21 @@ def _site_positions(clusters_rows):
     return {v: i + 1 for i, v in enumerate(observed)}
 
 
-def _paper_dataset(cluster_rows, seed_note=None):
-    """Assemble the miniscrew-style dataset with AREA2 as within variable."""
+def _paper_dataset(cluster_rows):
+    """Assemble the miniscrew-style dataset with AREA2 as within variable.
+
+    `cluster_rows` lists (cluster id, row dicts); rows are ordered by site.
+    """
     rank = _site_positions([rows for _, rows in cluster_rows])
-    clusters = []
-    for cid, rows in cluster_rows:
-        rows = sorted(rows, key=lambda r: rank[r["AREA2"]])
-        built = tuple(
-            Row(
-                position=rank[r["AREA2"]],
-                response=r["LOOSENING"],
-                covariates={name: r[name] for name in PAPER_VARIABLES},
-            )
-            for r in rows
-        )
-        clusters.append(Cluster(cid, built))
+    flat = [r for _, rows in cluster_rows
+            for r in sorted(rows, key=lambda r: rank[r["AREA2"]])]
     return ClusteredDataset(
-        clusters=tuple(clusters),
-        variable_names=PAPER_VARIABLES,
+        ids=tuple(cid for cid, _ in cluster_rows),
+        sizes=[len(rows) for _, rows in cluster_rows],
+        positions=[rank[r["AREA2"]] for r in flat],
+        response=[r["LOOSENING"] for r in flat],
+        columns={name: np.array([r[name] for r in flat], dtype=float)
+                 for name in PAPER_VARIABLES},
         cluster_col="ID",
         response_col="LOOSENING",
         within_col="AREA2",
@@ -507,25 +494,25 @@ def generate_paper(n_clusters=135, alpha=0.3, seed=0) -> ClusteredDataset:
     """
     base = generate(paper_profile(n_clusters, alpha, seed))
     rng = np.random.default_rng([seed, 17])
+    col = {name: values.tolist() for name, values in base.columns.items()}
+    response = base.response.tolist()
     cluster_rows = []
-    for c in base.clusters:
-        first = c.rows[0].covariates
+    for cid, a, m in zip(base.ids, base.starts.tolist(), base.sizes.tolist()):
         patient = {}
-        _fill_patient(rng, patient, first["AGE1"], first["GENDER"], first["NINSERT1"])
-        areas = [r.covariates["AREA1"] for r in c.rows]
-        sites = _assign_sites(rng, areas)
+        _fill_patient(rng, patient, col["AGE1"][a], col["GENDER"][a], col["NINSERT1"][a])
+        sites = _assign_sites(rng, col["AREA1"][a:a + m])
         rows = []
-        for r, site in zip(c.rows, sites):
+        for j, site in zip(range(a, a + m), sites):
             row = dict(patient)
             row.update(
                 {
-                    "LOOSENING": r.response,
-                    "AREA1": r.covariates["AREA1"],
+                    "LOOSENING": response[j],
+                    "AREA1": col["AREA1"][j],
                     "AREA2": site,
-                    "DIAMETER": r.covariates["DIAMETER"],
+                    "DIAMETER": col["DIAMETER"][j],
                 }
             )
-            _fill_screw(rng, row, length1=r.covariates["LENGTH1"])
+            _fill_screw(rng, row, length1=col["LENGTH1"][j])
             rows.append(row)
-        cluster_rows.append((c.id, rows))
+        cluster_rows.append((cid, rows))
     return _paper_dataset(cluster_rows)

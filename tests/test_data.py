@@ -1,10 +1,13 @@
+import csv
+from math import isfinite
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geeclust import (
-    Cluster,
     ClusteredDataset,
-    Row,
     TermCoding,
     build_design,
     complete_cases,
@@ -25,14 +28,118 @@ from geeclust.errors import (
 
 
 def make_ds(rows_by_cluster, response="Y", names=("X",)):
-    clusters = []
+    ids, sizes, positions, responses = [], [], [], []
+    columns = {name: [] for name in names}
     for cid, rows in rows_by_cluster.items():
-        built = tuple(
-            Row(i + 1, float(y), dict(zip(names, values)))
-            for i, (y, *values) in enumerate(rows)
+        ids.append(str(cid))
+        sizes.append(len(rows))
+        for i, (y, *values) in enumerate(rows):
+            positions.append(i + 1)
+            responses.append(float(y))
+            for name, value in zip(names, values):
+                columns[name].append(value)
+    return ClusteredDataset(ids, sizes, positions, responses, columns, "ID", response, None)
+
+
+# ------------------------------------------------------- reference loader
+
+def _reference_parse_cell(text, row, col):
+    """'' -> None, finite numeric text -> float, other text kept as string."""
+    if text is None or text == "":
+        return None
+    try:
+        value = float(text)
+    except ValueError:
+        return text
+    if isfinite(value):
+        return value
+    raise UnparseableValue(row, col, text)
+
+
+def _reference_cluster_id(value):
+    if isinstance(value, float):
+        if value == int(value) and abs(value) < 1e15:
+            return str(int(value))
+        return repr(value)
+    return value
+
+
+def reference_load_csv(path, cluster_col, response_col, within_col=None):
+    """`load_csv` one row at a time, as it first was (plus the blank-id rule).
+
+    Returns (ids, sizes, positions, responses, columns) as plain lists, the
+    columns as {name: values} with None for missing.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
+        header = next(reader)
+        idx = {name: i for i, name in enumerate(header)}
+        variable_names = tuple(
+            name for name in header if name not in (cluster_col, response_col)
         )
-        clusters.append(Cluster(str(cid), built))
-    return ClusteredDataset(tuple(clusters), tuple(names), "ID", response, None)
+        groups = {}
+        order = []
+        for row_num, cells in enumerate(reader, start=2):
+            if not any(cells):
+                continue
+            rec = {name: _reference_parse_cell(cells[i], row_num, name)
+                   if i < len(cells) else None
+                   for name, i in idx.items()}
+            raw_response = cells[idx[response_col]] if idx[response_col] < len(cells) else ""
+            if raw_response == "":
+                continue
+            response = rec[response_col]
+            if not isinstance(response, float):
+                raise UnparseableValue(row_num, response_col, raw_response)
+            within = None
+            if within_col is not None:
+                within = rec[within_col]
+                if within is not None and not isinstance(within, float):
+                    raise UnparseableValue(row_num, within_col, within)
+            if rec[cluster_col] is None:
+                raise UnparseableValue(row_num, cluster_col, "")
+            cid = _reference_cluster_id(rec[cluster_col])
+            covariates = {name: rec[name] for name in variable_names}
+            if cid not in groups:
+                groups[cid] = []
+                order.append(cid)
+            groups[cid].append((within, row_num, response, covariates))
+
+    observed = sorted(
+        {w for rows in groups.values() for (w, _, _, _) in rows if w is not None}
+    )
+    rank = {w: i + 1 for i, w in enumerate(observed)}
+
+    sizes, positions, responses = [], [], []
+    columns = {name: [] for name in variable_names}
+    for cid in order:
+        entries = groups[cid]
+        if within_col is not None:
+            seen = {}
+            for w, row_num, _, _ in entries:
+                if w is None:
+                    continue
+                if w in seen:
+                    raise DuplicateWithinPosition(cid, w)
+                seen[w] = row_num
+            entries = sorted(
+                entries, key=lambda e: (0, rank[e[0]]) if e[0] is not None else (1, e[1])
+            )
+            tail = len(observed)
+            for w, _, _, _ in entries:
+                if w is not None:
+                    positions.append(rank[w])
+                else:
+                    tail += 1
+                    positions.append(tail)
+        else:
+            positions += range(1, len(entries) + 1)
+        sizes.append(len(entries))
+        for _, _, response, covariates in entries:
+            responses.append(response)
+            for name in variable_names:
+                columns[name].append(covariates[name])
+    return order, sizes, positions, responses, columns
 
 
 # ------------------------------------------------------------------ load_csv
@@ -58,8 +165,8 @@ def test_load_single_row(tmp_path):
     path.write_text("ID,AGE,Y\n7,30,1\n")
     ds = load_csv(path, "ID", "Y")
     assert ds.n_clusters == 1
-    assert ds.clusters[0].size == 1
-    assert ds.clusters[0].rows[0].response == 1.0
+    assert ds.cluster_sizes() == [1]
+    assert ds.response_vector().tolist() == [1.0]
 
 
 def test_load_missing_response_column(tmp_path):
@@ -109,20 +216,20 @@ def test_load_sorts_by_within_and_ranks_occasions(tmp_path):
     path = tmp_path / "w.csv"
     path.write_text("ID,T,Y\n1,10,0\n1,2,1\n2,6,0\n")
     ds = load_csv(path, "ID", "Y", "T")
-    first = ds.clusters[0]
-    assert first.positions == (1, 3)          # T=2 -> rank 1, T=10 -> rank 3
-    assert first.rows[0].response == 1.0      # the T=2 row comes first
-    assert ds.clusters[1].positions == (2,)   # T=6 -> rank 2
+    assert ds.cluster_sizes() == [2, 1]
+    assert ds.positions[:2].tolist() == [1, 3]   # T=2 -> rank 1, T=10 -> rank 3
+    assert ds.response[0] == 1.0                 # the T=2 row comes first
+    assert ds.positions[2:].tolist() == [2]      # T=6 -> rank 2
 
 
 def test_load_missing_within_keeps_file_order_after_observed(tmp_path):
     path = tmp_path / "mw.csv"
     path.write_text("ID,T,Y\n1,,0\n1,4,1\n1,,2\n")
     ds = load_csv(path, "ID", "Y", "T")
-    cluster = ds.clusters[0]
+    assert ds.cluster_sizes() == [3]
     # the observed T=4 row ranks first; missing-T rows follow in file order
-    assert cluster.responses == (1.0, 0.0, 2.0)
-    assert cluster.positions == (1, 2, 3)
+    assert ds.response.tolist() == [1.0, 0.0, 2.0]
+    assert ds.positions.tolist() == [1, 2, 3]
 
 
 def test_load_drops_missing_response(tmp_path):
@@ -140,12 +247,13 @@ def test_round_trip(tmp_path):
     write_csv(ds, path)
     back = load_csv(path, "ID", "LOOSENING", "AREA2")
     assert back.n_total == ds.n_total
-    assert [c.id for c in back.clusters] == [c.id for c in ds.clusters]
-    for original, reloaded in zip(ds.clusters, back.clusters):
-        assert original.positions == reloaded.positions
-        assert original.responses == reloaded.responses
-        for a, b in zip(original.rows, reloaded.rows):
-            assert a.covariates == b.covariates
+    assert back.ids == ds.ids
+    assert back.cluster_sizes() == ds.cluster_sizes()
+    assert back.positions.tolist() == ds.positions.tolist()
+    assert back.response.tolist() == ds.response.tolist()
+    assert back.variable_names == ds.variable_names
+    for name in ds.variable_names:
+        assert back.column(name) == ds.column(name)
 
 
 # ------------------------------------------------------------ derive_threshold
@@ -285,10 +393,123 @@ def test_complete_cases_drops_and_counts():
 
 
 def test_complete_cases_preserves_positions():
-    clusters = (
-        Cluster("1", (Row(1, 0.0, {"X": None}), Row(2, 1.0, {"X": 1.0}))),
-    )
-    ds = ClusteredDataset(clusters, ("X",), "ID", "Y", None)
+    ds = ClusteredDataset(["1"], [2], [1, 2], [0.0, 1.0], {"X": [None, 1.0]}, "ID", "Y", None)
     out, dropped = complete_cases(ds, ["X"])
     assert dropped == 1
-    assert out.clusters[0].positions == (2,)
+    assert out.positions.tolist() == [2]
+
+
+# ------------------------------------------------- loader against reference
+
+# (usable cells, bad cells) per column
+CSV_CELLS = {
+    "ID": (("1", "2", "3", "01", "2.0", "a"), ("", "nan")),
+    "A": (("0", "1", "2.5", "", "abc", "1e3", " 7"), ("inf",)),
+    "T": (("1", "2", "3", "4", "2.0", ""), ("x", "-inf")),
+    "Y": (("0", "1", "2", ""), ("yes", "nan")),
+}
+
+
+@st.composite
+def small_csvs(draw):
+    """Header ID,A,T,Y and up to 12 lines: short rows and blank lines included."""
+    lines = []
+    # a bad cell one time in 3 makes rows with several of them; 1 in 25, a
+    # file that mostly loads
+    odds = draw(st.sampled_from((3, 25)))
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(("row",) * 6 + ("short", "blank")))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(([], ["", "", "", ""]))))
+            continue
+        cells = []
+        for name in ("ID", "A", "T", "Y"):
+            usable, bad = CSV_CELLS[name]
+            pool = bad if draw(st.integers(1, odds)) == 1 else usable
+            cells.append(draw(st.sampled_from(pool)))
+        if kind == "short":
+            cells = cells[:draw(st.integers(1, 3))]
+        lines.append(cells)
+    return lines, draw(st.sampled_from((None, "T")))
+
+
+def _loaded(ds):
+    return (list(ds.ids), ds.cluster_sizes(), ds.positions.tolist(), ds.response.tolist(),
+            {name: ds.column(name) for name in ds.variable_names})
+
+
+def _outcome(load, path, within):
+    try:
+        return load(path, "ID", "Y", within)
+    except UnparseableValue as exc:
+        return ("UnparseableValue", exc.row, exc.col)
+    except DuplicateWithinPosition as exc:
+        return ("DuplicateWithinPosition", exc.cluster_id)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(case=small_csvs())
+def test_load_csv_matches_reference_loader(tmp_path_factory, case):
+    lines, within = case
+    path = tmp_path_factory.mktemp("csv") / "small.csv"
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["ID", "A", "T", "Y"])
+        writer.writerows(lines)
+    expected = _outcome(reference_load_csv, path, within)
+    got = _outcome(load_csv, path, within)
+    if isinstance(got, ClusteredDataset):
+        got = _loaded(got)
+    assert got == expected
+
+
+@st.composite
+def small_datasets(draw):
+    ids = draw(st.lists(st.one_of(st.integers(0, 999).map(str),
+                                  st.text("abcxyz", min_size=1, max_size=3)),
+                        min_size=1, max_size=6, unique=True))
+    sizes = [draw(st.integers(1, 4)) for _ in ids]
+    n = sum(sizes)
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    numbers = st.one_of(finite, st.integers(-3, 3).map(float))
+    columns = {
+        "NUM": draw(st.lists(st.one_of(st.none(), numbers), min_size=n, max_size=n)),
+        "TXT": draw(st.lists(st.one_of(st.none(), numbers, st.text("abcxyz", min_size=1)),
+                             min_size=n, max_size=n)),
+    }
+    response = draw(st.lists(numbers, min_size=n, max_size=n))
+    positions = [q for m in sizes for q in range(1, m + 1)]
+    return ClusteredDataset(ids, sizes, positions, response, columns, "ID", "Y", None)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(ds=small_datasets())
+def test_write_then_load_round_trips(tmp_path_factory, ds):
+    path = tmp_path_factory.mktemp("rt") / "rt.csv"
+    write_csv(ds, path)
+    back = load_csv(path, "ID", "Y")
+    assert _loaded(back) == _loaded(ds)
+
+
+def test_columns_are_typed_arrays():
+    ds = make_ds({1: [(0, 1.0), (1, None)], 2: [(0, "a")]}, names=("X",))
+    numeric = make_ds({1: [(0, 1.0), (1, None)]}, names=("X",))
+    assert ds.columns["X"].dtype == object and ds.column("X") == [1.0, None, "a"]
+    assert numeric.columns["X"].dtype == np.float64
+    assert np.isnan(numeric.columns["X"][1]) and numeric.column("X") == [1.0, None]
+    # a subset that loses its text is stored as numbers again
+    out, _ = complete_cases(ds.take(np.array([True, True, False])), ["X"])
+    assert out.columns["X"].dtype == np.float64 and out.column("X") == [1.0]
+
+
+@pytest.mark.parametrize("sizes, positions, error", [
+    ([2, 1], [1, 1, 1], DuplicateWithinPosition),
+    ([2, 1], [2, 1, 1], ValueError),
+    ([2, 0], [1, 2], ValueError),
+    ([2, 1], [1, 2], ValueError),
+], ids=["duplicate-position", "unsorted", "empty-cluster", "short-positions"])
+def test_constructor_rejects_bad_layout(sizes, positions, error):
+    n = sum(sizes)
+    with pytest.raises(error):
+        ClusteredDataset([str(i) for i in range(len(sizes))], sizes, positions,
+                         [0.0] * n, {"X": [1.0] * n})

@@ -6,7 +6,6 @@ from scipy.special import expit
 
 from geeclust import (
     AR1,
-    Cluster,
     ClusteredDataset,
     Exchangeable,
     Family,
@@ -14,7 +13,6 @@ from geeclust import (
     GeeOptions,
     Independent,
     MDependent,
-    Row,
     TermCoding,
     Unstructured,
     build_design,
@@ -43,19 +41,17 @@ BINOMIAL = Family("binomial", "logit")
 
 def dataset_from_arrays(cluster_sizes, x_values, y_values, positions=None):
     """Small binomial dataset with one covariate named 'x'."""
-    clusters = []
-    start = 0
-    for cid, size in enumerate(cluster_sizes, start=1):
-        rows = []
-        for j in range(size):
-            pos = positions[start + j] if positions is not None else j + 1
-            rows.append(
-                Row(int(pos), float(y_values[start + j]), {"x": float(x_values[start + j])})
-            )
-        rows.sort(key=lambda r: r.position)
-        clusters.append(Cluster(str(cid), tuple(rows)))
-        start += size
-    return ClusteredDataset(tuple(clusters), ("x",), "ID", "Y", None)
+    sizes = np.asarray(cluster_sizes, dtype=int)
+    n = int(sizes.sum())
+    cluster = np.repeat(np.arange(len(sizes)), sizes)
+    if positions is None:
+        positions = np.arange(n) - np.repeat(np.cumsum(sizes) - sizes, sizes) + 1
+    positions = np.asarray(positions[:n], dtype=int)
+    order = np.lexsort((positions, cluster))   # rows sorted by position in a cluster
+    return ClusteredDataset(
+        [str(cid) for cid in range(1, len(sizes) + 1)], sizes, positions[order],
+        np.asarray(y_values[:n], dtype=float)[order],
+        {"x": np.asarray(x_values[:n], dtype=float)[order]}, "ID", "Y", None)
 
 
 def _probit(p):
@@ -237,16 +233,14 @@ def _estimating_equation(values, ds, f, beta, cs, phi=1.0):
     a = glm.variance_fn(f, mu)
     dmu = glm.mean_derivative(f, mu)
     total = np.zeros(values.shape[1])
-    start = 0
-    for c in ds.clusters:
-        sl = slice(start, start + c.size)
+    for start, size in zip(ds.starts.tolist(), ds.sizes.tolist()):
+        sl = slice(start, start + size)
         x_i = values[sl]
         d_i = dmu[sl][:, None] * x_i
         s = np.sqrt(a[sl])
-        r = realize_correlation(cs, c.size, np.asarray(c.positions))
+        r = realize_correlation(cs, size, ds.positions[sl])
         v = phi * np.outer(s, s) * r
         total += d_i.T @ np.linalg.solve(v, y[sl] - mu[sl])
-        start += c.size
     return total
 
 

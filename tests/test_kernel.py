@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from geeclust import (
     AR1,
-    Cluster,
     ClusteredDataset,
     Exchangeable,
     Family,
@@ -21,7 +20,6 @@ from geeclust import (
     GeeOptions,
     Independent,
     MDependent,
-    Row,
     TermCoding,
     Unstructured,
     build_design,
@@ -44,11 +42,8 @@ BINOMIAL = Family("binomial", "logit")
 # ------------------------------------------------------------- references
 
 def _grouped(ds, resid):
-    out, start = [], 0
-    for c in ds.clusters:
-        out.append((resid[start:start + c.size], np.asarray(c.positions)))
-        start += c.size
-    return out
+    return [(resid[start:start + size], ds.positions[start:start + size])
+            for start, size in zip(ds.starts.tolist(), ds.sizes.tolist())]
 
 
 def reference_alpha(cs, grouped, phi, p, subtract_p=True):
@@ -102,13 +97,11 @@ def reference_assemble(values, y, ds, f, beta, cs, phi):
     dmu = glm.mean_derivative(f, mu)
     p = values.shape[1]
     info, score, meat = np.zeros((p, p)), np.zeros(p), np.zeros((p, p))
-    start = 0
-    for c in ds.clusters:
-        sl = slice(start, start + c.size)
-        start += c.size
+    for start, size in zip(ds.starts.tolist(), ds.sizes.tolist()):
+        sl = slice(start, start + size)
         d = dmu[sl][:, None] * values[sl]
         s = np.sqrt(a[sl])
-        v = phi * np.outer(s, s) * realize_correlation(cs, c.size, c.positions)
+        v = phi * np.outer(s, s) * realize_correlation(cs, size, ds.positions[sl])
         factor = spd_factor(v)
         g = d.T @ spd_solve(factor, y[sl] - mu[sl])
         info += d.T @ spd_solve(factor, d)
@@ -192,7 +185,11 @@ def _structures(t):
 
 
 def _permuted(ds, order):
-    return ClusteredDataset(tuple(ds.clusters[i] for i in order), ds.variable_names,
+    rows = np.concatenate([np.arange(ds.starts[i], ds.starts[i] + ds.sizes[i])
+                           for i in order])
+    return ClusteredDataset([ds.ids[i] for i in order], ds.sizes[list(order)],
+                            ds.positions[rows], ds.response[rows],
+                            {name: values[rows] for name, values in ds.columns.items()},
                             ds.cluster_col, ds.response_col, ds.within_col)
 
 
@@ -204,20 +201,24 @@ def _boundary_dataset(seed):
     along a direction that its design rows and residuals do not enter.
     """
     rng = np.random.default_rng(seed)
-    clusters = []
+    sizes, positions, response, x = [], [], [], []
     for i in range(90):
         xs = rng.standard_normal(2)
         ys = (rng.uniform(size=2) < 1.0 / (1.0 + np.exp(-xs))).astype(float)
         if i < 30:
-            rows = [Row(q, float(ys[0]), {"x": float(xs[0])}) for q in (1, 2)]
+            rows = [(q, float(ys[0]), float(xs[0])) for q in (1, 2)]
         elif i < 70:
             first = 1 + i % 2
-            rows = [Row(q, float(ys[j]), {"x": float(xs[j])})
-                    for j, q in enumerate((first, 3))]
+            rows = [(q, float(ys[j]), float(xs[j])) for j, q in enumerate((first, 3))]
         else:
-            rows = [Row(3, float(ys[0]), {"x": float(xs[0])})]
-        clusters.append(Cluster(str(i + 1), tuple(rows)))
-    ds = ClusteredDataset(tuple(clusters), ("x",))
+            rows = [(3, float(ys[0]), float(xs[0]))]
+        sizes.append(len(rows))
+        for q, y, value in rows:
+            positions.append(q)
+            response.append(y)
+            x.append(value)
+    ds = ClusteredDataset([str(i + 1) for i in range(90)], sizes, positions, response,
+                          {"x": x})
     return ds, build_design(ds, [TermCoding("x", "covariate")])
 
 
@@ -226,7 +227,8 @@ def _boundary_dataset(seed):
 def test_gapped_data_has_many_size_groups(gapped):
     ds, _ = gapped
     assert len(set(ds.cluster_sizes())) >= 5
-    assert any(np.any(np.diff(c.positions) > 1) for c in ds.clusters)
+    assert any(np.any(np.diff(ds.positions[start:start + size]) > 1)
+               for start, size in zip(ds.starts.tolist(), ds.sizes.tolist()))
 
 
 @pytest.mark.parametrize("index", range(6))
@@ -292,8 +294,9 @@ def test_boundary_correlation_falls_back_to_per_cluster_jitter(monkeypatch):
 
 
 def test_unrescuable_working_correlation_raises():
-    rows = tuple(Row(j + 1, float(j % 2), {"x": float(j)}) for j in range(3))
-    ds = ClusteredDataset(tuple(Cluster(str(i), rows) for i in range(8)), ("x",))
+    ds = ClusteredDataset([str(i) for i in range(8)], [3] * 8, [1, 2, 3] * 8,
+                          [float(j % 2) for j in range(3)] * 8,
+                          {"x": [float(j) for j in range(3)] * 8})
     x = build_design(ds, [TermCoding("x", "covariate")])
     indefinite = Unstructured(3, [[1.0, 0.9, -0.9], [0.9, 1.0, 0.9], [-0.9, 0.9, 1.0]])
     with pytest.raises(NotPositiveDefinite):

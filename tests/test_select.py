@@ -149,17 +149,11 @@ def test_exhaustive_and_stepwise_agree_on_monotone_path(signal_ds):
 def test_rank_deficient_candidate_flagged(signal_ds):
     # a pathological constant term: every candidate containing it fails but
     # stays in the report
-    from geeclust.data import Cluster, ClusteredDataset, Row
+    from geeclust.data import ClusteredDataset
 
-    clusters = []
-    for c in signal_ds.clusters:
-        rows = tuple(
-            Row(r.position, r.response, {**r.covariates, "CONST": 1.0})
-            for r in c.rows
-        )
-        clusters.append(Cluster(c.id, rows))
     ds = ClusteredDataset(
-        tuple(clusters), signal_ds.variable_names + ("CONST",),
+        signal_ds.ids, signal_ds.sizes, signal_ds.positions, signal_ds.response,
+        {**signal_ds.columns, "CONST": np.ones(signal_ds.n_total)},
         signal_ds.cluster_col, signal_ds.response_col, signal_ds.within_col,
     )
     terms = terms_named("AREA1") + [TermCoding("CONST", "covariate")]
@@ -171,16 +165,11 @@ def test_rank_deficient_candidate_flagged(signal_ds):
 
 
 def test_all_candidates_failed(signal_ds):
-    from geeclust.data import Cluster, ClusteredDataset, Row
+    from geeclust.data import ClusteredDataset
 
-    clusters = []
-    for c in signal_ds.clusters:
-        rows = tuple(
-            Row(r.position, r.response, {"CONST": 1.0}) for r in c.rows
-        )
-        clusters.append(Cluster(c.id, rows))
     ds = ClusteredDataset(
-        tuple(clusters), ("CONST",), "ID", signal_ds.response_col, None
+        signal_ds.ids, signal_ds.sizes, signal_ds.positions, signal_ds.response,
+        {"CONST": np.ones(signal_ds.n_total)}, "ID", signal_ds.response_col, None
     )
     with pytest.raises(AllCandidatesFailed):
         run_selection(ds, BINOMIAL, [TermCoding("CONST", "covariate")],

@@ -11,12 +11,10 @@ from scipy import integrate, stats
 from scipy.special import expit
 
 from geeclust import (
-    Cluster,
     ClusteredDataset,
     CovariateSpec,
     Family,
     Independent,
-    Row,
     SimProfile,
     TermCoding,
     build_design,
@@ -48,8 +46,8 @@ BINOMIAL = Family("binomial", "logit")
 def within_cluster_pairs(ds):
     """All within-cluster response pairs as two aligned arrays."""
     firsts, seconds = [], []
-    for c in ds.clusters:
-        values = [r.response for r in c.rows]
+    for start, size in zip(ds.starts.tolist(), ds.sizes.tolist()):
+        values = ds.response[start:start + size].tolist()
         for j, k in combinations(range(len(values)), 2):
             firsts.append(values[j])
             seconds.append(values[k])
@@ -76,7 +74,8 @@ def reference_generate(profile):
     sizes = [s for s, _ in profile.size_distribution]
     size_probs = [p for _, p in profile.size_distribution]
     names = tuple(spec.name for spec in profile.covariate_specs)
-    clusters = []
+    cluster_sizes, positions, response = [], [], []
+    columns = {name: [] for name in names}
     for i in range(profile.n_clusters):
         size = int(sizes[rng.choice(len(sizes), p=size_probs)])
         draws = {}
@@ -96,12 +95,13 @@ def reference_generate(profile):
         else:
             z = noise
         responses = (z <= thresholds).astype(float)
-        rows = tuple(
-            Row(j + 1, float(responses[j]), {name: draws[name][j] for name in names})
-            for j in range(size)
-        )
-        clusters.append(Cluster(str(i + 1), rows))
-    return ClusteredDataset(tuple(clusters), names, "ID", profile.response_name, None)
+        cluster_sizes.append(size)
+        positions += range(1, size + 1)
+        response += responses.tolist()
+        for name in names:
+            columns[name] += draws[name]
+    return ClusteredDataset([str(i + 1) for i in range(profile.n_clusters)], cluster_sizes,
+                            positions, response, columns, "ID", profile.response_name, None)
 
 
 def csv_bytes(ds, tmp_path, name="ds.csv"):
@@ -264,7 +264,7 @@ def test_latent_caches_bounded_and_output_cache_independent(monkeypatch, tmp_pat
 
 def test_size_distribution_matches_published_histogram():
     ds = generate(SimProfile(n_clusters=10_000, alpha=0.0, seed=3))
-    counts = collections.Counter(c.size for c in ds.clusters)
+    counts = collections.Counter(ds.cluster_sizes())
     for size, probability in TABLE_SIZES:
         assert abs(counts[size] / 10_000 - probability) < 0.03
 
@@ -375,7 +375,7 @@ def test_paper_marginals_exact_crosstab(paper_ds):
 
 
 def test_paper_marginals_sizes(paper_ds):
-    counts = collections.Counter(c.size for c in paper_ds.clusters)
+    counts = collections.Counter(paper_ds.cluster_sizes())
     assert dict(counts) == {1: 31, 2: 67, 3: 17, 4: 14, 5: 3, 6: 3}
     assert paper_ds.n_total == 305
     assert paper_ds.n_clusters == 135
@@ -386,7 +386,7 @@ def test_paper_marginals_counts_invariant_to_seed():
         ds = build_paper_marginals(seed)
         t = crosstab_2x2(ds, "AREA1")
         assert (t.a, t.b, t.c, t.d) == (42, 184, 27, 52)
-        counts = collections.Counter(c.size for c in ds.clusters)
+        counts = collections.Counter(ds.cluster_sizes())
         assert dict(counts) == {1: 31, 2: 67, 3: 17, 4: 14, 5: 3, 6: 3}
 
 
@@ -401,12 +401,13 @@ def test_paper_marginals_independent_fit(paper_ds):
 def test_paper_marginals_site_consistency(paper_ds):
     # AREA2 sites: even = maxillary (AREA1=1), odd = mandibular; distinct
     # inside each patient
-    for c in paper_ds.clusters:
-        sites = [r.covariates["AREA2"] for r in c.rows]
+    area1, area2 = paper_ds.column("AREA1"), paper_ds.column("AREA2")
+    for start, size in zip(paper_ds.starts.tolist(), paper_ds.sizes.tolist()):
+        sites = area2[start:start + size]
         assert len(set(sites)) == len(sites)
-        for r in c.rows:
-            parity = r.covariates["AREA2"] % 2
-            assert (parity == 0) == (r.covariates["AREA1"] == 1.0)
+        for j in range(start, start + size):
+            parity = area2[j] % 2
+            assert (parity == 0) == (area1[j] == 1.0)
 
 
 def test_generate_paper_schema_and_consistency():
@@ -415,11 +416,12 @@ def test_generate_paper_schema_and_consistency():
         "AGE", "GENDER", "AREA1", "AREA2", "LENGTH", "DIAMETER", "NINSERT",
         "AGE1", "LENGTH1", "NINSERT1",
     }
-    for c in ds.clusters:
-        sites = [r.covariates["AREA2"] for r in c.rows]
+    column = {name: ds.column(name) for name in ds.variable_names}
+    for start, size in zip(ds.starts.tolist(), ds.sizes.tolist()):
+        sites = column["AREA2"][start:start + size]
         assert len(set(sites)) == len(sites)
-        for r in c.rows:
-            cov = r.covariates
+        for j in range(start, start + size):
+            cov = {name: values[j] for name, values in column.items()}
             assert (cov["AGE"] > 20) == (cov["AGE1"] == 1.0)
             assert (cov["LENGTH"] >= 8) == (cov["LENGTH1"] == 1.0)
             assert (cov["NINSERT"] > 20) == (cov["NINSERT1"] == 1.0)
