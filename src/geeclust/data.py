@@ -326,8 +326,10 @@ def load_csv(path, cluster_col, response_col, within_col=None) -> ClusteredDatas
     a cell that parses to nan or inf (leftmost in header order) comes first,
     then a text response, a text within value, and a blank cluster id.
     """
-    header, row_nums, raw = _read_columns(
-        path, [cluster_col, response_col] + ([within_col] if within_col else []))
+    roles = [cluster_col, response_col] + ([within_col] if within_col else [])
+    if len(set(roles)) < len(roles):
+        raise ValueError(f"cluster, response and within columns must differ: {roles}")
+    header, row_nums, raw = _read_columns(path, roles)
     idx = {name: i for i, name in enumerate(header)}
 
     # candidate errors as (row index, stage, header order, column, cell)

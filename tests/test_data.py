@@ -205,6 +205,16 @@ def test_load_rejects_blank_cluster_id(tmp_path):
     assert (err.value.row, err.value.col) == (2, "ID")
 
 
+@pytest.mark.parametrize("cluster, response, within", [
+    ("ID", "Y", "ID"), ("Y", "Y", None), ("ID", "Y", "Y"),
+])
+def test_load_rejects_one_column_in_two_roles(tmp_path, cluster, response, within):
+    path = tmp_path / "roles.csv"
+    path.write_text("ID,Y\n1,0\n1,1\n2,1\n")
+    with pytest.raises(ValueError, match="must differ"):
+        load_csv(path, cluster, response, within)
+
+
 def test_load_duplicate_within_position(tmp_path):
     path = tmp_path / "dup.csv"
     path.write_text("ID,T,Y\n1,3,0\n1,3,1\n")
