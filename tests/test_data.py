@@ -20,6 +20,7 @@ from geeclust import (
 from geeclust.errors import (
     ConstantFactor,
     DuplicateWithinPosition,
+    GeeError,
     MissingColumn,
     NonBinaryResponse,
     UnknownVariable,
@@ -213,6 +214,14 @@ def test_load_rejects_one_column_in_two_roles(tmp_path, cluster, response, withi
     path.write_text("ID,Y\n1,0\n1,1\n2,1\n")
     with pytest.raises(ValueError, match="must differ"):
         load_csv(path, cluster, response, within)
+
+
+def test_load_rejects_repeated_column_name(tmp_path):
+    # the second X column must not silently replace the first
+    path = tmp_path / "repeat.csv"
+    path.write_text("ID,X,X,Y\n1,1,2,0\n1,3,4,1\n")
+    with pytest.raises(GeeError, match="'X'"):
+        load_csv(path, "ID", "Y")
 
 
 def test_load_duplicate_within_position(tmp_path):
