@@ -27,6 +27,7 @@ nan or inf.  Every array is read-only.
 
 import csv
 import logging
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from math import isfinite
 from numbers import Real
@@ -36,6 +37,7 @@ import numpy as np
 
 from .errors import (
     ConstantFactor,
+    DuplicateColumn,
     DuplicateWithinPosition,
     MissingColumn,
     NonBinaryResponse,
@@ -253,7 +255,8 @@ def _read_columns(path, required):
     """Header, file row numbers and cell columns of a CSV file.
 
     Blank lines are skipped; short rows are padded with blank cells, and
-    cells past the header's width are ignored.
+    cells past the header's width are ignored.  A header that names one
+    column twice raises DuplicateColumn.
     """
     try:
         handle = open(path, "r", encoding="utf-8", newline="")
@@ -268,6 +271,9 @@ def _read_columns(path, required):
         for col in required:
             if col not in header:
                 raise MissingColumn(f"{path}: column {col!r} not in header")
+        repeated = [name for name, count in Counter(header).items() if count > 1]
+        if repeated:
+            raise DuplicateColumn(repeated[0])
         table = list(reader)
     width = len(header)
     nonblank = np.fromiter(map(any, table), bool, len(table))

@@ -11,6 +11,14 @@ class MissingColumn(GeeError):
     """A declared column is absent from the file header."""
 
 
+class DuplicateColumn(GeeError):
+    """The file header names one column twice."""
+
+    def __init__(self, name):
+        self.name = name
+        super().__init__(f"column {name!r} appears more than once in the header")
+
+
 class UnparseableValue(GeeError):
     """A cell could not be parsed as the type its role requires."""
 

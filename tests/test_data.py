@@ -19,8 +19,8 @@ from geeclust import (
 )
 from geeclust.errors import (
     ConstantFactor,
+    DuplicateColumn,
     DuplicateWithinPosition,
-    GeeError,
     MissingColumn,
     NonBinaryResponse,
     UnknownVariable,
@@ -220,7 +220,7 @@ def test_load_rejects_repeated_column_name(tmp_path):
     # the second X column must not silently replace the first
     path = tmp_path / "repeat.csv"
     path.write_text("ID,X,X,Y\n1,1,2,0\n1,3,4,1\n")
-    with pytest.raises(GeeError, match="'X'"):
+    with pytest.raises(DuplicateColumn, match="'X'"):
         load_csv(path, "ID", "Y")
 
 
