@@ -6,6 +6,7 @@ report is still printed).  Set GEE_LOG=debug|info|warning for verbosity.
 """
 
 import argparse
+import csv
 import json
 import logging
 import os
@@ -226,7 +227,7 @@ def cmd_fit(cfg: RunConfig) -> int:
         "converged": bool(fit.converged),
         "iterations": int(fit.iterations),
     }
-    _emit(payload, cfg.output_format, render_fit_text)
+    _emit(payload, cfg.output_format, render_fit_text, table="rows")
     return NONCONVERGENCE if partial else 0
 
 
@@ -308,6 +309,7 @@ def cmd_select(cfg: RunConfig) -> int:
                 "qic": None if not c.converged else c.qic,
                 "qic_u": None if not c.converged else c.qic_u,
                 "converged": c.converged,
+                "failure": c.failure,
             }
             for c in report.candidates
         ],
@@ -315,7 +317,7 @@ def cmd_select(cfg: RunConfig) -> int:
         "best_model": list(report.best_model),
         "trace": list(report.trace),
     }
-    _emit(payload, cfg.output_format, render_select_text)
+    _emit(payload, cfg.output_format, render_select_text, table="candidates")
     return 0
 
 
@@ -329,14 +331,14 @@ def render_select_text(payload) -> str:
     best_s = payload["best_structure"]
     best_m = payload["best_model"]
     for c in payload["candidates"]:
-        if not c["converged"]:
-            qic_text = qicu_text = "failed"
+        if c["converged"]:
+            criteria = f"{_f3(c['qic']):>12}{_f3(c['qic_u']):>12}"
         else:
-            qic_text, qicu_text = _f3(c["qic"]), _f3(c["qic_u"])
+            criteria = f"{'failed: ' + c['failure'].partition(':')[0]:>24}"
         mark = " *" if c["structure"] == best_s and c["covariates"] == best_m else ""
         lines.append(
             f"{c['structure']:<14}{', '.join(c['covariates']):<40}"
-            f"{c['p']:>3}{qic_text:>12}{qicu_text:>12}{mark}"
+            f"{c['p']:>3}{criteria}{mark}"
         )
     lines.append("")
     lines.append(f"Best working correlation (QIC):  {best_s}")
@@ -464,17 +466,18 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 # -------------------------------------------------------------------- driver
 
-def _emit(payload, output_format, renderer):
+def _emit(payload, output_format, renderer, table=None):
+    """Print the payload as JSON, as the CSV of its `table` list (list cells
+    joined by ";", None as an empty cell), or through `renderer`."""
     if output_format == "json":
         print(json.dumps(payload, indent=2))
-    elif output_format == "csv" and payload.get("rows"):
-        import csv as _csv
-
-        writer = _csv.writer(sys.stdout)
-        keys = list(payload["rows"][0])
+    elif output_format == "csv":
+        writer = csv.writer(sys.stdout)
+        keys = list(payload[table][0])
         writer.writerow(keys)
-        for row in payload["rows"]:
-            writer.writerow([row[k] for k in keys])
+        for row in payload[table]:
+            writer.writerow([";".join(row[k]) if isinstance(row[k], list) else row[k]
+                             for k in keys])
     else:
         print(renderer(payload))
 
@@ -551,8 +554,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the deterministic 305-row example instead",
     )
 
-    for p in (fit, select, crosstab, summarize):
+    for p in (fit, select):
         p.add_argument("--format", choices=("text", "json", "csv"),
+                       default="text", dest="output_format")
+    for p in (crosstab, summarize):
+        p.add_argument("--format", choices=("text", "json"),
                        default="text", dest="output_format")
     return parser
 

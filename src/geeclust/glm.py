@@ -194,7 +194,8 @@ def irls_fit(x, y, f: Family, tol: float = 1e-10, max_iter: int = 100) -> IrlsFi
             delta = np.linalg.solve(info, score)
         except np.linalg.LinAlgError:
             raise RankDeficient("weighted information matrix is singular") from None
-        # step-halve until the quasi-likelihood stops decreasing
+        # step-halve until the quasi-likelihood stops decreasing; after ten
+        # failed halvings take the last, shortest step anyway
         step = 1.0
         for _ in range(10):
             candidate = beta + step * delta
@@ -203,10 +204,12 @@ def irls_fit(x, y, f: Family, tol: float = 1e-10, max_iter: int = 100) -> IrlsFi
             except DomainError:
                 q_new = -np.inf
             if q_new >= q - 1e-12:
+                beta, q = candidate, q_new
                 break
             step /= 2.0
-        beta = beta + step * delta
-        q = objective(beta)
+        else:
+            beta = beta + step * delta
+            q = objective(beta)
         path.append(q)
     partial = IrlsFit(beta, iterations, False, q, tuple(path))
     raise NoConvergence(f"IRLS did not converge in {max_iter} iterations", fit=partial)

@@ -4,7 +4,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import chdtrc, ndtri
 
 from .data import ClusteredDataset
 from .errors import (
@@ -46,7 +46,7 @@ def wald_row(label, b, se, level: float = 0.95) -> ParameterRow:
         raise InvalidLevel(f"confidence level {level} outside (0, 1)")
     if se <= 0.0:
         raise ValueError(f"standard error must be positive, got {se}")
-    z = stats.norm.ppf((1.0 + level) / 2.0)
+    z = ndtri((1.0 + level) / 2.0)
     chisq = (b / se) ** 2
     ci_low = b - z * se
     ci_high = b + z * se
@@ -58,7 +58,7 @@ def wald_row(label, b, se, level: float = 0.95) -> ParameterRow:
         ci_high=float(ci_high),
         wald_chisq=float(chisq),
         df=1,
-        p_value=float(stats.chi2.sf(chisq, 1)),
+        p_value=float(chdtrc(1, chisq)),
         exp_b=float(math.exp(b)),
         exp_ci_low=float(math.exp(ci_low)),
         exp_ci_high=float(math.exp(ci_high)),

@@ -4,12 +4,15 @@ Phase 1 ranks (covariate subset x correlation structure) candidates by QIC;
 the structure of the lowest-QIC candidate wins.  Phase 2 freezes that
 structure and ranks covariate subsets by QICu.  Both phases run either
 exhaustively over all subsets up to a size cap or as a greedy forward walk
-that stops when adding a covariate no longer lowers the criterion.
+that stops when adding a covariate no longer lowers the criterion.  Within
+one selection each covariate subset is coded once and each unique (subset,
+structure) candidate is fitted once, however often the walk visits it.
 """
 
 import logging
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Optional
 
 import numpy as np
 
@@ -49,7 +52,11 @@ class CandidateSpec:
 
 @dataclass(frozen=True)
 class Candidate:
-    """Fitted candidate: criterion values plus a convergence flag."""
+    """Fitted candidate: criterion values plus a convergence flag.
+
+    `failure` is "<ExceptionClass>: <message>" for a candidate whose coding
+    or fit failed (its criteria are NaN), None for one that converged.
+    """
 
     structure: str
     covariates: tuple
@@ -57,6 +64,7 @@ class Candidate:
     qic: float
     qic_u: float
     converged: bool
+    failure: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -69,8 +77,21 @@ class SelectionReport:
     trace: tuple
 
 
+# what makes one candidate fail without aborting the selection
+_FIT_FAILURES = (NoConvergence, RankDeficient, NotPositiveDefinite,
+                PerfectSeparation, ConstantFactor, DomainError)
+
+
 def _kind_rank(structure) -> int:
     return KIND_ORDER.index(structure.kind)
+
+
+def _subsets(names, max_size):
+    """Non-empty subsets of `names` up to `max_size`, by size then position."""
+    if not 1 <= max_size <= len(names):
+        raise ValueError(f"max_size must be in 1..{len(names)}")
+    return [subset for size in range(1, max_size + 1)
+            for subset in combinations(names, size)]
 
 
 def enumerate_candidates(terms, structures, max_size):
@@ -79,18 +100,10 @@ def enumerate_candidates(terms, structures, max_size):
     Deterministic order: subset size, then position-lexicographic subset,
     then structure in canonical listing order.
     """
-    names = [t.name for t in terms]
-    if not 1 <= max_size <= len(names):
-        raise ValueError(f"max_size must be in 1..{len(names)}")
     ranked = sorted(structures, key=_kind_rank)
-    specs = []
-    for size in range(1, max_size + 1):
-        for subset in combinations(range(len(names)), size):
-            for structure in ranked:
-                specs.append(
-                    CandidateSpec(tuple(names[i] for i in subset), structure)
-                )
-    return specs
+    return [CandidateSpec(subset, structure)
+            for subset in _subsets([t.name for t in terms], max_size)
+            for structure in ranked]
 
 
 def default_structures(ds, mdep_order=2):
@@ -104,32 +117,69 @@ def default_structures(ds, mdep_order=2):
     ]
 
 
-def fit_candidate(ds, f, terms, subset, structure, options=None):
-    """Fit one candidate; returns a Candidate with NaN criteria on failure."""
-    chosen = [t for t in terms if t.name in subset]
-    try:
-        sub_ds, _ = complete_cases(ds, [t.name for t in chosen])
-        x = build_design(sub_ds, chosen)
-        fit = fit_gee(x, sub_ds, f, structure, options)
-        return Candidate(
-            structure=structure.kind,
-            covariates=tuple(subset),
-            p=x.p,
-            qic=qic(fit, x, sub_ds, f),
-            qic_u=qic_u(fit, x.p),
-            converged=True,
-        )
-    except (NoConvergence, RankDeficient, NotPositiveDefinite,
-            PerfectSeparation, ConstantFactor, DomainError) as exc:
-        log.info("candidate %s/%s failed: %s", structure.kind, subset, exc)
-        return Candidate(
-            structure=structure.kind,
-            covariates=tuple(subset),
-            p=len(subset) + 1,
-            qic=float("nan"),
-            qic_u=float("nan"),
-            converged=False,
-        )
+class _Evaluator:
+    """The candidates of one selection, each fitted once.
+
+    A covariate subset is filtered to its complete cases and coded once, and
+    a (subset, structure) pair is fitted once: a walk that comes back to the
+    pair gets the same Candidate.  Structures are keyed by their position in
+    the offered list, because the ones holding a template array cannot be
+    hashed.
+    """
+
+    def __init__(self, ds, f, terms, structures, options):
+        self.ds = ds
+        self.f = f
+        self.terms = terms
+        self.structures = structures
+        self.options = options
+        self._designs = {}
+        self._candidates = {}
+
+    def __call__(self, subset, position) -> Candidate:
+        key = (subset, position)
+        if key not in self._candidates:
+            self._candidates[key] = self._fit(subset, self.structures[position])
+        return self._candidates[key]
+
+    def _design(self, subset):
+        """The subset's complete-case dataset and design; a coding failure
+        is kept and raised again for every structure."""
+        if subset not in self._designs:
+            chosen = [t for t in self.terms if t.name in subset]
+            try:
+                sub_ds, _ = complete_cases(self.ds, [t.name for t in chosen])
+                self._designs[subset] = (sub_ds, build_design(sub_ds, chosen))
+            except _FIT_FAILURES as exc:
+                self._designs[subset] = exc
+        design = self._designs[subset]
+        if isinstance(design, Exception):
+            raise design
+        return design
+
+    def _fit(self, subset, structure) -> Candidate:
+        try:
+            sub_ds, x = self._design(subset)
+            fit = fit_gee(x, sub_ds, self.f, structure, self.options)
+            return Candidate(
+                structure=structure.kind,
+                covariates=subset,
+                p=x.p,
+                qic=qic(fit, x, sub_ds, self.f),
+                qic_u=qic_u(fit, x.p),
+                converged=True,
+            )
+        except _FIT_FAILURES as exc:
+            log.info("candidate %s/%s failed: %s", structure.kind, subset, exc)
+            return Candidate(
+                structure=structure.kind,
+                covariates=subset,
+                p=len(subset) + 1,
+                qic=float("nan"),
+                qic_u=float("nan"),
+                converged=False,
+                failure=f"{type(exc).__name__}: {exc}",
+            )
 
 
 def _argmin(candidates, key):
@@ -160,23 +210,24 @@ def run_selection(ds, f, terms, structures=None, mode="exhaustive",
     Returns
     -------
     SelectionReport
-        Every fitted candidate, the winning structure (lowest QIC), the
-        winning covariate set under it (lowest QICu), and the step log.
+        Every visited candidate in walk order (a stepwise walk visits some
+        twice; each unique candidate is fitted once), the winning structure
+        (lowest QIC), the winning covariate set under it (lowest QICu), and
+        the step log.
     """
     if mode not in ("exhaustive", "stepwise"):
         raise ValueError("mode must be 'exhaustive' or 'stepwise'")
-    if structures is None:
-        structures = default_structures(ds)
+    structures = default_structures(ds) if structures is None else list(structures)
     names = [t.name for t in terms]
     if max_size is None:
         max_size = len(names)
+    evaluate = _Evaluator(ds, f, terms, structures, options)
+    # structure positions in canonical listing order
+    order = sorted(range(len(structures)), key=lambda i: _kind_rank(structures[i]))
 
     if mode == "exhaustive":
-        specs = enumerate_candidates(terms, structures, max_size)
-        candidates = [
-            fit_candidate(ds, f, terms, spec.covariates, spec.structure, options)
-            for spec in specs
-        ]
+        candidates = [evaluate(subset, i)
+                      for subset in _subsets(names, max_size) for i in order]
         phase1 = _argmin(candidates, lambda c: c.qic)
         if phase1 is None:
             raise AllCandidatesFailed("no candidate converged")
@@ -193,11 +244,12 @@ def run_selection(ds, f, terms, structures=None, mode="exhaustive",
                                phase2.covariates, trace)
 
     # stepwise: greedy forward walk, phase 1 over QIC across all structures
+    # (one per kind, the last offered)
     candidates = []
     trace = []
-    structure_by_kind = {s.kind: s for s in sorted(structures, key=_kind_rank)}
+    position_by_kind = {structures[i].kind: i for i in order}
 
-    def grow(pool_structures, criterion, label):
+    def grow(positions, criterion, label):
         current: tuple = ()
         current_best = float("inf")
         winner = None
@@ -209,8 +261,8 @@ def run_selection(ds, f, terms, structures=None, mode="exhaustive",
                 if name in current:
                     continue
                 subset = tuple(n for n in names if n in current or n == name)
-                for structure in pool_structures:
-                    cand = fit_candidate(ds, f, terms, subset, structure, options)
+                for i in positions:
+                    cand = evaluate(subset, i)
                     candidates.append(cand)
                     round_candidates.append(cand)
             best = _argmin(round_candidates, criterion)
@@ -231,13 +283,13 @@ def run_selection(ds, f, terms, structures=None, mode="exhaustive",
         return winner
 
     trace.append("Phase 1 (working correlation by QIC)")
-    phase1 = grow(list(structure_by_kind.values()), lambda c: c.qic, "QIC")
+    phase1 = grow(list(position_by_kind.values()), lambda c: c.qic, "QIC")
     if phase1 is None:
         raise AllCandidatesFailed("no candidate converged")
     best_structure = phase1.structure
     trace.append(f"Phase 1 winner: {best_structure}")
     trace.append("Phase 2 (model by QICu)")
-    phase2 = grow([structure_by_kind[best_structure]], lambda c: c.qic_u, "QICu")
+    phase2 = grow([position_by_kind[best_structure]], lambda c: c.qic_u, "QICu")
     trace.append(f"Phase 2 winner: {_fmt_subset(phase2.covariates)}")
     return SelectionReport(
         tuple(candidates), best_structure, phase2.covariates, tuple(trace)

@@ -1,9 +1,18 @@
+import csv
+import io
 import json
 
 import numpy as np
 import pytest
 
-from geeclust import CovariateSpec, SimProfile, build_paper_marginals, generate, write_csv
+from geeclust import (
+    CovariateSpec,
+    SimProfile,
+    build_paper_marginals,
+    derive_threshold,
+    generate,
+    write_csv,
+)
 from geeclust.cli import main, render_fit_text
 from geeclust.errors import NoConvergence
 
@@ -30,6 +39,15 @@ def singleton_csv(tmp_path_factory):
     )
     path = tmp_path_factory.mktemp("data") / "singletons.csv"
     write_csv(generate(profile), path)
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def constant_csv(tmp_path_factory):
+    """The example data plus CONST, a column of zeros: no factor coding of
+    it exists, so every candidate holding it fails."""
+    path = tmp_path_factory.mktemp("data") / "constant.csv"
+    write_csv(derive_threshold(build_paper_marginals(0), "AREA1", 5.0, "CONST"), path)
     return str(path)
 
 
@@ -236,6 +254,47 @@ def test_select_json_consistent(paper_csv, capsys):
     alive = [c for c in payload["candidates"] if c["converged"]]
     best = min(alive, key=lambda c: c["qic"])
     assert payload["best_structure"] == best["structure"]
+
+
+def select_args(data, *extra):
+    return [
+        "select", "--data", data, "--response", "LOOSENING", "--cluster", "ID",
+        "--within", "AREA2", "--factors", "AREA1:desc,CONST:desc",
+        "--structures", "independent,exchangeable", *extra,
+    ]
+
+
+def test_select_text_names_failure_class(constant_csv, capsys):
+    assert main(select_args(constant_csv)) == 0
+    rows = [l for l in capsys.readouterr().out.splitlines() if "CONST" in l]
+    assert len(rows) == 4
+    assert all(l.rstrip().endswith("failed: ConstantFactor") for l in rows)
+
+
+def test_select_json_carries_failure_reason(constant_csv, capsys):
+    assert main(select_args(constant_csv, "--format", "json")) == 0
+    candidates = json.loads(capsys.readouterr().out)["candidates"]
+    for c in candidates:
+        if "CONST" in c["covariates"]:
+            assert not c["converged"] and c["qic"] is None
+            assert c["failure"].startswith("ConstantFactor: factor 'CONST'")
+        else:
+            assert c["converged"] and c["failure"] is None
+
+
+def test_select_csv_writes_candidate_table(constant_csv, capsys):
+    assert main(select_args(constant_csv, "--format", "json")) == 0
+    candidates = json.loads(capsys.readouterr().out)["candidates"]
+    assert main(select_args(constant_csv, "--format", "csv")) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert rows[0] == ["structure", "covariates", "p", "qic", "qic_u", "converged",
+                       "failure"]
+    assert len(rows) == len(candidates) + 1
+    for row, c in zip(rows[1:], candidates):
+        assert row[:3] == [c["structure"], ";".join(c["covariates"]), str(c["p"])]
+        for cell, value in zip(row[3:5], (c["qic"], c["qic_u"])):
+            assert cell == ("" if value is None else repr(value))
+        assert row[5:] == [str(c["converged"]), c["failure"] or ""]
 
 
 # ------------------------------------------------------------------ summarize

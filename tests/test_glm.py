@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from geeclust import Family, irls_fit, link_eval, link_inverse, quasi_likelihood, variance_fn
+from geeclust.glm import _start_beta, mean_derivative
 from geeclust.errors import DomainError, NoConvergence, PerfectSeparation, RankDeficient
 
 from conftest import MARGINAL_INTERCEPT, MARGINAL_SLOPE
@@ -127,6 +128,80 @@ def test_irls_no_convergence_carries_partial_fit():
         irls_fit(x, y, BINOMIAL, max_iter=1)
     assert excinfo.value.fit is not None
     assert not excinfo.value.fit.converged
+
+
+def reference_irls(x, y, f, tol=1e-10, max_iter=100):
+    """The IRLS loop that evaluates the objective again after every step.
+
+    Returns (beta, objective path, halvings, steps whose ten halvings all
+    failed, converged).
+    """
+    def objective(beta):
+        return quasi_likelihood(x, beta, y, f)
+
+    beta = _start_beta(y, f, x.shape[1])
+    q = objective(beta)
+    path, halvings, exhausted = [q], 0, 0
+    for _ in range(max_iter):
+        mu = link_inverse(f, x @ beta)
+        score = x.T @ (y - mu)
+        if np.max(np.abs(score)) < tol:
+            return beta, tuple(path), halvings, exhausted, True
+        w = mean_derivative(f, mu) ** 2 / variance_fn(f, mu)
+        delta = np.linalg.solve(x.T @ (x * w[:, None]), score)
+        step = 1.0
+        for _ in range(10):
+            try:
+                q_new = objective(beta + step * delta)
+            except DomainError:
+                q_new = -np.inf
+            if q_new >= q - 1e-12:
+                break
+            step /= 2.0
+            halvings += 1
+        else:
+            exhausted += 1
+        beta = beta + step * delta
+        q = objective(beta)
+        path.append(q)
+    return beta, tuple(path), halvings, exhausted, False
+
+
+def _irls_case(name):
+    if name == "binomial":
+        x, y = marginal_xy()
+        return x, y, BINOMIAL, {}
+    if name == "poisson-halving":
+        rng = np.random.default_rng(23)
+        x = np.column_stack([np.ones(26), rng.normal(0.0, 3.0, 26)])
+        y = rng.poisson(np.exp(rng.normal(2.0, 2.0, 26))).astype(float)
+        return x, y, POISSON, {}
+    # at this scale round-off in the objective exceeds the 1e-12 acceptance
+    # slack, so steps near the optimum fail all ten halvings
+    rng = np.random.default_rng(5)
+    x = np.column_stack([np.ones(40), rng.standard_normal(40)])
+    y = rng.normal(1e9, 1e7, 40)
+    return x, y, NORMAL, {"tol": 0.0, "max_iter": 30}
+
+
+@pytest.mark.parametrize("name, halves, exhausts", [
+    ("binomial", False, False),
+    ("poisson-halving", True, False),
+    ("normal-exhausted", True, True),
+])
+def test_irls_matches_reevaluating_reference_bitwise(name, halves, exhausts):
+    x, y, f, kwargs = _irls_case(name)
+    beta, path, halvings, exhausted, converged = reference_irls(x, y, f, **kwargs)
+    assert (halvings > 0) == halves and (exhausted > 0) == exhausts
+    if converged:
+        fit = irls_fit(x, y, f, **kwargs)
+    else:
+        with pytest.raises(NoConvergence) as excinfo:
+            irls_fit(x, y, f, **kwargs)
+        fit = excinfo.value.fit
+    assert fit.beta.tobytes() == beta.tobytes()
+    assert fit.objective_path == path
+    assert fit.objective == path[-1]
 
 
 def test_quasi_likelihood_binomial_half():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 from scipy.special import expit
 
 from geeclust import (
@@ -67,6 +68,17 @@ def test_wald_row_published_unstructured_jaw_effect():
     assert row.ci_low == pytest.approx(-0.001, abs=0.001)
     assert row.ci_high == pytest.approx(1.219, abs=0.001)
     assert row.exp_b == pytest.approx(1.839, abs=0.001)
+
+
+def test_wald_row_equals_scipy_stats_distributions_bitwise():
+    # the special functions must give exactly what the distribution objects give
+    rng = np.random.default_rng(8)
+    for b, se, level in zip(rng.normal(0.0, 3.0, 300), rng.uniform(0.01, 2.0, 300),
+                            rng.uniform(0.01, 0.999, 300)):
+        row = wald_row("x", float(b), float(se), float(level))
+        z = stats.norm.ppf((1.0 + level) / 2.0)
+        assert row.ci_low == float(b - z * se) and row.ci_high == float(b + z * se)
+        assert row.p_value == float(stats.chi2.sf((b / se) ** 2, 1))
 
 
 def test_wald_row_zero_effect():

@@ -3,20 +3,38 @@ import warnings
 import numpy as np
 import pytest
 
+import geeclust.select
 from geeclust import (
     AR1,
+    Candidate,
     Exchangeable,
     Family,
     Independent,
     MDependent,
+    SelectionReport,
     TermCoding,
     Unstructured,
+    build_design,
+    complete_cases,
+    derive_threshold,
     enumerate_candidates,
+    fit_gee,
     generate_paper,
+    qic,
+    qic_u,
     recode_response,
     run_selection,
 )
-from geeclust.errors import AllCandidatesFailed, UnderdeterminedLag
+from geeclust.errors import (
+    AllCandidatesFailed,
+    ConstantFactor,
+    DomainError,
+    NoConvergence,
+    NotPositiveDefinite,
+    PerfectSeparation,
+    RankDeficient,
+    UnderdeterminedLag,
+)
 
 BINOMIAL = Family("binomial", "logit")
 FIVE = [Independent(), MDependent(2), Exchangeable(), AR1(), Unstructured(6)]
@@ -185,3 +203,156 @@ def test_domain_error_candidate_recorded_as_failed():
     failed = [c for c in report.candidates if not c.converged]
     assert failed and all(np.isnan(c.qic) for c in failed)
     assert report.best_structure == "ar1"
+
+
+# ------------------------------------------------------ one candidate evaluator
+
+def reference_fit_candidate(ds, f, terms, subset, structure):
+    """Code the subset and fit the candidate from scratch on every visit."""
+    chosen = [t for t in terms if t.name in subset]
+    try:
+        sub_ds, _ = complete_cases(ds, [t.name for t in chosen])
+        x = build_design(sub_ds, chosen)
+        fit = fit_gee(x, sub_ds, f, structure)
+        return Candidate(structure.kind, tuple(subset), x.p, qic(fit, x, sub_ds, f),
+                         qic_u(fit, x.p), True)
+    except (NoConvergence, RankDeficient, NotPositiveDefinite,
+            PerfectSeparation, ConstantFactor, DomainError) as exc:
+        return Candidate(structure.kind, tuple(subset), len(subset) + 1, float("nan"),
+                         float("nan"), False, f"{type(exc).__name__}: {exc}")
+
+
+def reference_selection(ds, f, terms, structures, mode, max_size):
+    """The two-phase walk with one fit per visited candidate."""
+    names = [t.name for t in terms]
+    fmt = geeclust.select._fmt_subset
+    argmin = geeclust.select._argmin
+    if mode == "exhaustive":
+        candidates = [reference_fit_candidate(ds, f, terms, spec.covariates, spec.structure)
+                      for spec in enumerate_candidates(terms, structures, max_size)]
+        phase1 = argmin(candidates, lambda c: c.qic)
+        if phase1 is None:
+            raise AllCandidatesFailed("no candidate converged")
+        under = [c for c in candidates if c.structure == phase1.structure]
+        phase2 = argmin(under, lambda c: c.qic_u)
+        trace = (
+            f"Phase 1 (working correlation by QIC): {phase1.structure} "
+            f"at {fmt(phase1.covariates)} QIC={phase1.qic:.3f}",
+            f"Phase 2 (model by QICu): {fmt(phase2.covariates)} "
+            f"QICu={phase2.qic_u:.3f}",
+        )
+        return SelectionReport(tuple(candidates), phase1.structure, phase2.covariates, trace)
+
+    candidates, trace = [], []
+    by_kind = {s.kind: s for s in sorted(structures, key=geeclust.select._kind_rank)}
+
+    def grow(pool, criterion, label):
+        current, current_best, winner, step = (), float("inf"), None, 0
+        while len(current) < max_size:
+            step += 1
+            round_candidates = []
+            for name in names:
+                if name in current:
+                    continue
+                subset = tuple(n for n in names if n in current or n == name)
+                for structure in pool:
+                    cand = reference_fit_candidate(ds, f, terms, subset, structure)
+                    candidates.append(cand)
+                    round_candidates.append(cand)
+            best = argmin(round_candidates, criterion)
+            if best is None or criterion(best) >= current_best:
+                trace.append(f"STEP {step}: no {label} improvement over "
+                             f"{current_best:.3f}; stop with {fmt(current)}")
+                break
+            added = next(n for n in best.covariates if n not in current)
+            current, current_best, winner = best.covariates, criterion(best), best
+            trace.append(f"STEP {step}: add {added} -> {fmt(current)} "
+                         f"[{best.structure}] {label}={current_best:.3f}")
+        return winner
+
+    trace.append("Phase 1 (working correlation by QIC)")
+    phase1 = grow(list(by_kind.values()), lambda c: c.qic, "QIC")
+    if phase1 is None:
+        raise AllCandidatesFailed("no candidate converged")
+    trace.append(f"Phase 1 winner: {phase1.structure}")
+    trace.append("Phase 2 (model by QICu)")
+    phase2 = grow([by_kind[phase1.structure]], lambda c: c.qic_u, "QICu")
+    trace.append(f"Phase 2 winner: {fmt(phase2.covariates)}")
+    return SelectionReport(tuple(candidates), phase1.structure, phase2.covariates,
+                           tuple(trace))
+
+
+@pytest.fixture(scope="module")
+def ragged_ds():
+    """Ragged, occasion-gapped paper-like data plus CONST, a column of zeros
+    that no factor coding accepts."""
+    ds = recode_response(generate_paper(135, 0.3, 11), "LOOSENING")
+    return derive_threshold(ds, "AREA1", 5.0, "CONST")
+
+
+RAGGED_TERMS = terms_named("AGE1", "CONST", "NINSERT1", "AREA1", "LENGTH1")
+
+
+def _counting(monkeypatch):
+    """Record every fit_gee and complete_cases call that selection makes."""
+    fits, preparations = [], []
+
+    def counted_fit(x, ds, f, cs, options=None):
+        fits.append((x.column_labels, cs.kind))
+        return fit_gee(x, ds, f, cs, options)
+
+    def counted_complete_cases(ds, variables):
+        preparations.append(tuple(variables))
+        return complete_cases(ds, variables)
+
+    monkeypatch.setattr(geeclust.select, "fit_gee", counted_fit)
+    monkeypatch.setattr(geeclust.select, "complete_cases", counted_complete_cases)
+    return fits, preparations
+
+
+@pytest.mark.parametrize("mode, structures, max_size", [
+    ("stepwise", [Independent(), Exchangeable()], 3),
+    ("exhaustive", [Exchangeable(), Independent(), AR1()], 2),
+])
+def test_each_unique_candidate_fitted_once(ragged_ds, monkeypatch, mode, structures,
+                                           max_size):
+    fits, preparations = _counting(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UnderdeterminedLag)
+        report = run_selection(ragged_ds, BINOMIAL, RAGGED_TERMS, structures,
+                               mode=mode, max_size=max_size)
+    pairs = {(c.covariates, c.structure) for c in report.candidates}
+    subsets = {c.covariates for c in report.candidates}
+    coded = {c.covariates for c in report.candidates if "CONST" not in c.covariates}
+    assert len(preparations) == len(set(preparations)) == len(subsets)
+    assert len(fits) == len(set(fits))
+    # a subset that cannot be coded is never fitted
+    assert len(fits) == len({p for p in pairs if p[0] in coded})
+    if mode == "stepwise":
+        assert len(report.candidates) > len(pairs)
+
+
+@pytest.mark.parametrize("mode, structures, max_size", [
+    ("stepwise", [AR1(), Independent(), Exchangeable()], 3),
+    ("exhaustive", [Independent(), Exchangeable()], 2),
+])
+def test_evaluator_matches_fit_per_visit_reference(ragged_ds, mode, structures, max_size):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UnderdeterminedLag)
+        got = run_selection(ragged_ds, BINOMIAL, RAGGED_TERMS, structures,
+                            mode=mode, max_size=max_size)
+        expected = reference_selection(ragged_ds, BINOMIAL, RAGGED_TERMS, structures,
+                                       mode, max_size)
+    assert any(not c.converged for c in got.candidates)
+    # repr, not ==: a failed candidate's NaN criteria never compare equal
+    assert repr(got) == repr(expected)
+
+
+def test_repeated_failure_keeps_its_reason(ragged_ds):
+    report = run_selection(ragged_ds, BINOMIAL, terms_named("CONST", "AREA1"),
+                           [Independent()], mode="stepwise")
+    failed = [c for c in report.candidates if not c.converged]
+    # phase 2 revisits the phase-1 failures; each keeps the coding error
+    assert len(failed) == 2 * len({c.covariates for c in failed})
+    assert all(c.failure.startswith("ConstantFactor: factor 'CONST'") for c in failed)
+    assert all(c.failure is None for c in report.candidates if c.converged)
