@@ -63,7 +63,7 @@ x_f = build_design(flipped, [TermCoding("AREA1", "factor", "descending")])
 print("event = LOOSENING=0 (reference category: last):")
 fit_f = fit_gee(x_f, flipped, family, Independent())
 show(fit_f, x_f, flipped)
-print("negation check:", np.max(np.abs(fit.beta + fit_f.beta)))
+print("max |b_first + b_last| < 1e-12:", np.max(np.abs(fit.beta + fit_f.beta)) < 1e-12)
 
 # ---------------------------------------------------------------------------
 # Exchangeable working correlation: same mean model, correlation-aware
