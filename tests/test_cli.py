@@ -231,6 +231,16 @@ def test_select_exhaustive_counts(paper_csv, capsys):
     assert "Best working correlation" in out
 
 
+def test_select_rejects_a_repeated_structure_kind(paper_csv, capsys):
+    code = main([
+        "select", "--data", paper_csv, "--response", "LOOSENING",
+        "--cluster", "ID", "--within", "AREA2", "--factors", "AREA1:desc",
+        "--structures", "exchangeable,exchangeable",
+    ])
+    assert code == 2
+    assert "exchangeable" in capsys.readouterr().err
+
+
 def test_select_stepwise_trace(paper_csv, capsys):
     code = main([
         "select", "--data", paper_csv, "--response", "LOOSENING",

@@ -170,6 +170,11 @@ def test_load_single_row(tmp_path):
     assert ds.response_vector().tolist() == [1.0]
 
 
+def test_load_unopenable_file_raises_the_os_error(tmp_path):
+    with pytest.raises(FileNotFoundError):
+        load_csv(tmp_path / "absent.csv", "ID", "Y")
+
+
 def test_load_missing_response_column(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("ID,AGE\n1,20\n")

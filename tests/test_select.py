@@ -82,6 +82,11 @@ def test_enumeration_rejects_bad_max_size():
         enumerate_candidates(terms_named("A"), FIVE, max_size=0)
 
 
+def test_enumeration_rejects_two_structures_of_one_kind():
+    with pytest.raises(ValueError, match="mdependent"):
+        enumerate_candidates(terms_named("A"), [MDependent(1), MDependent(2)], 1)
+
+
 # --------------------------------------------------------------- run_selection
 
 def test_single_candidate_selected(signal_ds):
@@ -192,6 +197,14 @@ def test_all_candidates_failed(signal_ds):
     with pytest.raises(AllCandidatesFailed):
         run_selection(ds, BINOMIAL, [TermCoding("CONST", "covariate")],
                       [Independent()], mode="exhaustive")
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "stepwise"])
+def test_selection_rejects_two_structures_of_one_kind(signal_ds, mode):
+    # told apart by kind alone, the two would be reported under one name
+    with pytest.raises(ValueError, match="mdependent"):
+        run_selection(signal_ds, BINOMIAL, terms_named("AREA1"),
+                      [MDependent(1), MDependent(2)], mode=mode, max_size=1)
 
 
 def test_domain_error_candidate_recorded_as_failed():
