@@ -256,13 +256,10 @@ def _read_columns(path, required):
 
     Blank lines are skipped; short rows are padded with blank cells, and
     cells past the header's width are ignored.  A header that names one
-    column twice raises DuplicateColumn.
+    column twice raises DuplicateColumn; a file that cannot be opened raises
+    its OSError.
     """
-    try:
-        handle = open(path, "r", encoding="utf-8", newline="")
-    except OSError as exc:
-        raise MissingColumn(f"cannot open {path}: {exc}") from None
-    with handle:
+    with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)
