@@ -8,10 +8,13 @@ clustered estimating equation
 alternating a coefficient step with moment refreshes of the dispersion and
 working-correlation parameters.  Six correlation patterns are supported:
 independent, M-dependent, exchangeable, autoregressive AR-1, unstructured,
-and a fixed user-supplied matrix.  Both the model-based covariance (inverse
-information) and the robust sandwich covariance are produced; the sandwich
-stays consistent under correlation misspecification as long as the mean
-model is right, so reported standard errors use it.
+and a fixed user-supplied matrix.  Each is a class that realizes itself at
+a cluster's occasions (`realize`), reports its parameters
+(`alpha_estimates`) and, if it has any, re-estimates them by moments
+(`estimate`).  Both the model-based covariance (inverse information) and
+the robust sandwich covariance are produced; the sandwich stays consistent
+under correlation misspecification as long as the mean model is right, so
+reported standard errors use it.
 
 Clusters are grouped by size once per fit.  Each size group is handled by
 one stacked computation: the `(G, m, m)` stack of working covariances is
@@ -54,9 +57,32 @@ def _check_alpha(value):
     return a
 
 
+def _identity_stack(positions):
+    size = positions.shape[-1]
+    return np.broadcast_to(np.eye(size), positions.shape + (size,)).copy()
+
+
+def _lags(positions):
+    return np.abs(positions[..., :, None] - positions[..., None, :])
+
+
+def _subset_template(template, positions):
+    """The template's rows and columns at each cluster's occasions."""
+    if np.max(positions) > len(template):
+        raise SizeExceedsTemplate(
+            f"occasion {int(np.max(positions))} exceeds template size {len(template)}"
+        )
+    index = positions - 1
+    return template[index[..., :, None], index[..., None, :]]
+
+
 @dataclass(frozen=True)
 class Independent:
     kind = "independent"
+    alpha_estimates = None
+
+    def realize(self, positions):
+        return _identity_stack(positions)
 
 
 @dataclass(frozen=True)
@@ -69,6 +95,33 @@ class Exchangeable:
 
     def __post_init__(self):
         _check_alpha(self.alpha)
+
+    @property
+    def alpha_estimates(self):
+        return self.alpha
+
+    def realize(self, positions):
+        size = positions.shape[-1]
+        r = np.full(positions.shape + (size,), self.alpha)
+        r[..., np.arange(size), np.arange(size)] = 1.0
+        return r
+
+    def estimate(self, resid, positions, sizes, phi, p, subtract_p):
+        # segment sums run over the cluster offsets
+        offsets = np.cumsum(sizes) - sizes
+        sums = np.add.reduceat(resid, offsets)
+        squares = np.add.reduceat(resid**2, offsets)
+        num = float(np.sum(sums**2 - squares)) / 2.0
+        n_pairs = int(np.sum(sizes * (sizes - 1) // 2))
+        denom = n_pairs - p if subtract_p else n_pairs
+        if denom <= 0:
+            warnings.warn(
+                "too few within-cluster pairs to subtract p; using raw pair count",
+                UnderdeterminedLag, stacklevel=3)
+            denom = n_pairs
+        alpha = _clamp(num / (denom * phi))
+        floor = -1.0 / (int(sizes.max()) - 1) + 1e-6
+        return Exchangeable(max(alpha, floor))
 
 
 @dataclass(frozen=True)
@@ -89,6 +142,25 @@ class MDependent:
             raise ValueError(f"need {self.m} lag correlations, got {len(alphas)}")
         object.__setattr__(self, "alphas", alphas)
 
+    @property
+    def alpha_estimates(self):
+        return self.alphas
+
+    def realize(self, positions):
+        r = _identity_stack(positions)
+        lag = _lags(positions)
+        for s in range(1, self.m + 1):
+            r[lag == s] = self.alphas[s - 1]
+        return r
+
+    def estimate(self, resid, positions, sizes, phi, p, subtract_p):
+        pairs = _lag_pairs(resid, positions, sizes)
+        alphas = tuple(
+            _lag_moment(pairs, s, phi, p, subtract_p, f"lag {s}")
+            for s in range(1, self.m + 1)
+        )
+        return MDependent(self.m, alphas)
+
 
 @dataclass(frozen=True)
 class AR1:
@@ -100,6 +172,17 @@ class AR1:
 
     def __post_init__(self):
         _check_alpha(self.alpha)
+
+    @property
+    def alpha_estimates(self):
+        return self.alpha
+
+    def realize(self, positions):
+        return np.asarray(self.alpha, dtype=float) ** _lags(positions)
+
+    def estimate(self, resid, positions, sizes, phi, p, subtract_p):
+        pairs = _lag_pairs(resid, positions, sizes)
+        return AR1(_lag_moment(pairs, 1, phi, p, subtract_p, "lag 1"))
 
 
 @dataclass(frozen=True)
@@ -130,6 +213,51 @@ class Unstructured:
         a.setflags(write=False)
         object.__setattr__(self, "alphas", a)
 
+    @property
+    def alpha_estimates(self):
+        return self.alphas
+
+    def realize(self, positions):
+        return _subset_template(self.alphas, positions)
+
+    def estimate(self, resid, positions, sizes, phi, p, subtract_p):
+        # occasion-indexed residual layout: products of zeros drop the
+        # clusters that miss either occasion, giving available-pairs sums
+        t = self.size
+        cluster = np.repeat(np.arange(len(sizes)), sizes)
+        z = np.zeros((len(sizes), t))
+        mask = np.zeros((len(sizes), t))
+        z[cluster, positions - 1] = resid
+        mask[cluster, positions - 1] = 1.0
+        cross = z.T @ z
+        counts = mask.T @ mask
+        off = ~np.eye(t, dtype=bool)
+        never = off & (counts == 0)
+        denom = counts - p if subtract_p else counts.copy()
+        weak = off & (counts > 0) & (denom <= 0)
+        if never.any():
+            warnings.warn(
+                f"{int(never.sum() // 2)} occasion pairs are never observed "
+                "together; entries set to 0", UnderdeterminedLag, stacklevel=3)
+        if weak.any():
+            warnings.warn(
+                f"{int(weak.sum() // 2)} occasion pairs have too few clusters "
+                "to subtract p; using raw counts", UnderdeterminedLag,
+                stacklevel=3)
+            denom[weak] = counts[weak]
+        template = np.eye(t)
+        usable = off & (counts > 0)
+        template[usable] = np.clip(
+            cross[usable] / (denom[usable] * phi), -ALPHA_CLAMP, ALPHA_CLAMP
+        )
+        template, lam = _ensure_pd_template(template)
+        if lam < 1.0:
+            warnings.warn(
+                f"unstructured template shrunk toward identity (factor {lam:.3f}) "
+                "to stay positive definite",
+                UnderdeterminedLag, stacklevel=3)
+        return Unstructured(t, template)
+
 
 @dataclass(frozen=True)
 class Fixed:
@@ -153,8 +281,22 @@ class Fixed:
     def size(self) -> int:
         return self.matrix.shape[0]
 
+    @property
+    def alpha_estimates(self):
+        return self.matrix
 
-CorrelationStructure = Union[Independent, Exchangeable, MDependent, AR1, Unstructured, Fixed]
+    def realize(self, positions):
+        return _subset_template(self.matrix, positions)
+
+
+# the structures in canonical listing order
+STRUCTURE_CLASSES = (Independent, MDependent, Exchangeable, AR1, Unstructured, Fixed)
+CorrelationStructure = Union[STRUCTURE_CLASSES]
+
+
+def _check_structure(cs):
+    if type(cs) not in STRUCTURE_CLASSES:
+        raise TypeError(f"unknown correlation structure {cs!r}")
 
 
 def realize_correlation(cs, size, positions=None) -> np.ndarray:
@@ -174,30 +316,8 @@ def realize_correlation(cs, size, positions=None) -> np.ndarray:
         positions = np.asarray(positions, dtype=int)
         if positions.ndim not in (1, 2) or positions.shape[-1] != size:
             raise ValueError("positions must have length `size`")
-    shape = positions.shape + (size,)
-    if isinstance(cs, Independent):
-        return np.broadcast_to(np.eye(size), shape).copy()
-    if isinstance(cs, Exchangeable):
-        r = np.full(shape, cs.alpha)
-        r[..., np.arange(size), np.arange(size)] = 1.0
-        return r
-    lag = np.abs(positions[..., :, None] - positions[..., None, :])
-    if isinstance(cs, AR1):
-        return np.asarray(cs.alpha, dtype=float) ** lag
-    if isinstance(cs, MDependent):
-        r = np.broadcast_to(np.eye(size), shape).copy()
-        for s in range(1, cs.m + 1):
-            r[lag == s] = cs.alphas[s - 1]
-        return r
-    if isinstance(cs, (Unstructured, Fixed)):
-        template = cs.alphas if isinstance(cs, Unstructured) else cs.matrix
-        if np.max(positions) > cs.size:
-            raise SizeExceedsTemplate(
-                f"occasion {int(np.max(positions))} exceeds template size {cs.size}"
-            )
-        index = positions - 1
-        return template[index[..., :, None], index[..., None, :]]
-    raise TypeError(f"unknown correlation structure {cs!r}")
+    _check_structure(cs)
+    return cs.realize(positions)
 
 
 def estimate_phi(residuals, n_total, p, fix_to_one=False) -> float:
@@ -212,10 +332,11 @@ def _clamp(a):
     return float(np.clip(a, -ALPHA_CLAMP, ALPHA_CLAMP))
 
 
-def _lag_pairs(resid, positions, cluster, max_size):
+def _lag_pairs(resid, positions, sizes):
     """Occasion lag and residual product of every within-cluster pair."""
+    cluster = np.repeat(np.arange(len(sizes)), sizes)
     lags, products = [], []
-    for d in range(1, max_size):
+    for d in range(1, int(sizes.max())):
         same = cluster[d:] == cluster[:-d]
         lags.append(np.abs(positions[d:] - positions[:-d])[same])
         products.append((resid[:-d] * resid[d:])[same])
@@ -229,14 +350,14 @@ def _lag_moment(pairs, s, phi, p, subtract_p, label):
     count = int(np.count_nonzero(hit))
     if count == 0:
         warnings.warn(f"no residual pairs at {label}; estimate set to 0",
-                      UnderdeterminedLag, stacklevel=3)
+                      UnderdeterminedLag, stacklevel=4)
         return 0.0
     num = float(np.sum(products[hit]))
     denom = count - p if subtract_p else count
     if denom <= 0:
         warnings.warn(
             f"too few pairs at {label} to subtract p; using raw pair count",
-            UnderdeterminedLag, stacklevel=3)
+            UnderdeterminedLag, stacklevel=4)
         denom = count
     return _clamp(num / (denom * phi))
 
@@ -288,13 +409,15 @@ def estimate_alpha(cs, residuals, positions, sizes, phi, p, subtract_p=True):
         New instance of the same kind; estimates are clamped to
         [-0.99, 0.99], and the exchangeable estimate is additionally floored
         at -1/(max cluster size - 1) to keep realized matrices SPD.
+        Independent and fixed structures have no parameters and come back
+        unchanged.
     """
+    _check_structure(cs)
+    if not hasattr(cs, "estimate"):
+        return cs
     sizes = np.asarray(sizes, dtype=int)
     sizes = sizes[sizes > 0]
-    n_pairs = int(np.sum(sizes * (sizes - 1) // 2))
-    if isinstance(cs, (Independent, Fixed)):
-        return cs
-    if n_pairs == 0:
+    if not np.any(sizes > 1):
         raise NoPairs("every cluster has a single row; no pairs to average")
     resid = np.asarray(residuals, dtype=float)
     positions = np.asarray(positions, dtype=int)
@@ -302,74 +425,7 @@ def estimate_alpha(cs, residuals, positions, sizes, phi, p, subtract_p=True):
         raise ValueError(
             f"{len(resid)} residuals and {len(positions)} positions for "
             f"clusters of {int(sizes.sum())} rows")
-    # segment sums run over the cluster offsets
-    offsets = np.cumsum(sizes) - sizes
-    cluster = np.repeat(np.arange(len(sizes)), sizes)
-
-    if isinstance(cs, Exchangeable):
-        sums = np.add.reduceat(resid, offsets)
-        squares = np.add.reduceat(resid**2, offsets)
-        num = float(np.sum(sums**2 - squares)) / 2.0
-        denom = n_pairs - p if subtract_p else n_pairs
-        if denom <= 0:
-            warnings.warn(
-                "too few within-cluster pairs to subtract p; using raw pair count",
-                UnderdeterminedLag, stacklevel=2)
-            denom = n_pairs
-        alpha = _clamp(num / (denom * phi))
-        floor = -1.0 / (int(sizes.max()) - 1) + 1e-6
-        return Exchangeable(max(alpha, floor))
-
-    if isinstance(cs, AR1):
-        pairs = _lag_pairs(resid, positions, cluster, int(sizes.max()))
-        return AR1(_lag_moment(pairs, 1, phi, p, subtract_p, "lag 1"))
-
-    if isinstance(cs, MDependent):
-        pairs = _lag_pairs(resid, positions, cluster, int(sizes.max()))
-        alphas = tuple(
-            _lag_moment(pairs, s, phi, p, subtract_p, f"lag {s}")
-            for s in range(1, cs.m + 1)
-        )
-        return MDependent(cs.m, alphas)
-
-    if isinstance(cs, Unstructured):
-        # occasion-indexed residual layout: products of zeros drop the
-        # clusters that miss either occasion, giving available-pairs sums
-        t = cs.size
-        z = np.zeros((len(sizes), t))
-        mask = np.zeros((len(sizes), t))
-        z[cluster, positions - 1] = resid
-        mask[cluster, positions - 1] = 1.0
-        cross = z.T @ z
-        counts = mask.T @ mask
-        off = ~np.eye(t, dtype=bool)
-        never = off & (counts == 0)
-        denom = counts - p if subtract_p else counts.copy()
-        weak = off & (counts > 0) & (denom <= 0)
-        if never.any():
-            warnings.warn(
-                f"{int(never.sum() // 2)} occasion pairs are never observed "
-                "together; entries set to 0", UnderdeterminedLag, stacklevel=2)
-        if weak.any():
-            warnings.warn(
-                f"{int(weak.sum() // 2)} occasion pairs have too few clusters "
-                "to subtract p; using raw counts", UnderdeterminedLag,
-                stacklevel=2)
-            denom[weak] = counts[weak]
-        template = np.eye(t)
-        usable = off & (counts > 0)
-        template[usable] = np.clip(
-            cross[usable] / (denom[usable] * phi), -ALPHA_CLAMP, ALPHA_CLAMP
-        )
-        template, lam = _ensure_pd_template(template)
-        if lam < 1.0:
-            warnings.warn(
-                f"unstructured template shrunk toward identity (factor {lam:.3f}) "
-                "to stay positive definite",
-                UnderdeterminedLag, stacklevel=2)
-        return Unstructured(t, template)
-
-    raise TypeError(f"unknown correlation structure {cs!r}")
+    return cs.estimate(resid, positions, sizes, phi, p, subtract_p)
 
 
 @dataclass(frozen=True)
@@ -395,7 +451,6 @@ class GeeFit:
 
     beta: np.ndarray
     structure: CorrelationStructure
-    alpha_estimates: object
     phi: float
     cov_model_based: np.ndarray
     cov_robust: np.ndarray
@@ -403,6 +458,12 @@ class GeeFit:
     iterations: int
     converged: bool
     column_labels: tuple = field(default_factory=tuple)
+
+    @property
+    def alpha_estimates(self):
+        """The structure's parameters: None, a float, the lag correlations
+        or the template matrix."""
+        return self.structure.alpha_estimates
 
 
 def _factor_stack(v):
@@ -419,18 +480,6 @@ def _factor_stack(v):
         except np.linalg.LinAlgError:
             pass
     return np.stack([spd_factor(v_i).lower for v_i in v])
-
-
-def _alpha_view(cs):
-    if isinstance(cs, Independent):
-        return None
-    if isinstance(cs, (Exchangeable, AR1)):
-        return cs.alpha
-    if isinstance(cs, MDependent):
-        return cs.alphas
-    if isinstance(cs, Unstructured):
-        return cs.alphas
-    return cs.matrix
 
 
 def independence_information(x, ds, f, beta, phi=1.0) -> np.ndarray:
@@ -500,7 +549,7 @@ def fit_gee(x, ds, f, cs, options: GeeOptions = None) -> GeeFit:
     def refresh(cs, beta):
         mu, resid = moments(beta)
         phi = estimate_phi(resid, n, p, fix_to_one=fix_phi)
-        if opts.update_alpha and not isinstance(cs, (Independent, Fixed)):
+        if opts.update_alpha and hasattr(cs, "estimate"):
             try:
                 cs = estimate_alpha(cs, resid, positions, sizes, phi, p,
                                     subtract_p=opts.subtract_p)
@@ -570,7 +619,6 @@ def fit_gee(x, ds, f, cs, options: GeeOptions = None) -> GeeFit:
     fit = GeeFit(
         beta=beta,
         structure=cs_current,
-        alpha_estimates=_alpha_view(cs_current),
         phi=phi,
         cov_model_based=minv,
         cov_robust=cov_robust,

@@ -28,6 +28,7 @@ from .errors import (
 )
 from .gee import (
     AR1,
+    STRUCTURE_CLASSES,
     Exchangeable,
     Independent,
     MDependent,
@@ -37,9 +38,6 @@ from .gee import (
 from .inference import qic, qic_u
 
 log = logging.getLogger("geeclust.select")
-
-# canonical listing order of the correlation structures
-KIND_ORDER = ("independent", "mdependent", "exchangeable", "ar1", "unstructured", "fixed")
 
 
 @dataclass(frozen=True)
@@ -82,16 +80,17 @@ _FIT_FAILURES = (NoConvergence, RankDeficient, NotPositiveDefinite,
                 PerfectSeparation, ConstantFactor, DomainError)
 
 
-def _kind_rank(structure) -> int:
-    return KIND_ORDER.index(structure.kind)
+def _canonical(structures):
+    """The offered structures in canonical listing order.
 
-
-def _subsets(names, max_size):
-    """Non-empty subsets of `names` up to `max_size`, by size then position."""
-    if not 1 <= max_size <= len(names):
-        raise ValueError(f"max_size must be in 1..{len(names)}")
-    return [subset for size in range(1, max_size + 1)
-            for subset in combinations(names, size)]
+    Candidates are told apart by structure kind, so two structures of one
+    kind are rejected.
+    """
+    kinds = [s.kind for s in structures]
+    for kind in kinds:
+        if kinds.count(kind) > 1:
+            raise ValueError(f"structure kind {kind!r} offered more than once")
+    return sorted(structures, key=lambda s: STRUCTURE_CLASSES.index(type(s)))
 
 
 def enumerate_candidates(terms, structures, max_size):
@@ -100,9 +99,13 @@ def enumerate_candidates(terms, structures, max_size):
     Deterministic order: subset size, then position-lexicographic subset,
     then structure in canonical listing order.
     """
-    ranked = sorted(structures, key=_kind_rank)
+    names = [t.name for t in terms]
+    if not 1 <= max_size <= len(names):
+        raise ValueError(f"max_size must be in 1..{len(names)}")
+    ranked = _canonical(structures)
     return [CandidateSpec(subset, structure)
-            for subset in _subsets([t.name for t in terms], max_size)
+            for size in range(1, max_size + 1)
+            for subset in combinations(names, size)
             for structure in ranked]
 
 
@@ -122,24 +125,23 @@ class _Evaluator:
 
     A covariate subset is filtered to its complete cases and coded once, and
     a (subset, structure) pair is fitted once: a walk that comes back to the
-    pair gets the same Candidate.  Structures are keyed by their position in
-    the offered list, because the ones holding a template array cannot be
-    hashed.
+    pair gets the same Candidate.  Structures are keyed by their kind, which
+    is unique among the offered ones, because the ones holding a template
+    array cannot be hashed.
     """
 
-    def __init__(self, ds, f, terms, structures, options):
+    def __init__(self, ds, f, terms, options):
         self.ds = ds
         self.f = f
         self.terms = terms
-        self.structures = structures
         self.options = options
         self._designs = {}
         self._candidates = {}
 
-    def __call__(self, subset, position) -> Candidate:
-        key = (subset, position)
+    def __call__(self, subset, structure) -> Candidate:
+        key = (subset, structure.kind)
         if key not in self._candidates:
-            self._candidates[key] = self._fit(subset, self.structures[position])
+            self._candidates[key] = self._fit(subset, structure)
         return self._candidates[key]
 
     def _design(self, subset):
@@ -202,7 +204,7 @@ def run_selection(ds, f, terms, structures=None, mode="exhaustive",
     terms : sequence of TermCoding
         Candidate covariate pool.
     structures : sequence of CorrelationStructure, optional
-        Defaults to the five estimable kinds.
+        Defaults to the five estimable kinds; at most one of each kind.
     mode : "exhaustive" or "stepwise"
         Exhaustive fits every subset-structure pair; stepwise grows the
         subset greedily, stopping when the criterion stops improving.
@@ -217,17 +219,15 @@ def run_selection(ds, f, terms, structures=None, mode="exhaustive",
     """
     if mode not in ("exhaustive", "stepwise"):
         raise ValueError("mode must be 'exhaustive' or 'stepwise'")
-    structures = default_structures(ds) if structures is None else list(structures)
+    structures = _canonical(default_structures(ds) if structures is None else structures)
     names = [t.name for t in terms]
     if max_size is None:
         max_size = len(names)
-    evaluate = _Evaluator(ds, f, terms, structures, options)
-    # structure positions in canonical listing order
-    order = sorted(range(len(structures)), key=lambda i: _kind_rank(structures[i]))
+    evaluate = _Evaluator(ds, f, terms, options)
 
     if mode == "exhaustive":
-        candidates = [evaluate(subset, i)
-                      for subset in _subsets(names, max_size) for i in order]
+        candidates = [evaluate(spec.covariates, spec.structure)
+                      for spec in enumerate_candidates(terms, structures, max_size)]
         phase1 = _argmin(candidates, lambda c: c.qic)
         if phase1 is None:
             raise AllCandidatesFailed("no candidate converged")
@@ -244,12 +244,10 @@ def run_selection(ds, f, terms, structures=None, mode="exhaustive",
                                phase2.covariates, trace)
 
     # stepwise: greedy forward walk, phase 1 over QIC across all structures
-    # (one per kind, the last offered)
     candidates = []
     trace = []
-    position_by_kind = {structures[i].kind: i for i in order}
 
-    def grow(positions, criterion, label):
+    def grow(pool, criterion, label):
         current: tuple = ()
         current_best = float("inf")
         winner = None
@@ -261,8 +259,8 @@ def run_selection(ds, f, terms, structures=None, mode="exhaustive",
                 if name in current:
                     continue
                 subset = tuple(n for n in names if n in current or n == name)
-                for i in positions:
-                    cand = evaluate(subset, i)
+                for structure in pool:
+                    cand = evaluate(subset, structure)
                     candidates.append(cand)
                     round_candidates.append(cand)
             best = _argmin(round_candidates, criterion)
@@ -283,13 +281,14 @@ def run_selection(ds, f, terms, structures=None, mode="exhaustive",
         return winner
 
     trace.append("Phase 1 (working correlation by QIC)")
-    phase1 = grow(list(position_by_kind.values()), lambda c: c.qic, "QIC")
+    phase1 = grow(structures, lambda c: c.qic, "QIC")
     if phase1 is None:
         raise AllCandidatesFailed("no candidate converged")
     best_structure = phase1.structure
     trace.append(f"Phase 1 winner: {best_structure}")
     trace.append("Phase 2 (model by QICu)")
-    phase2 = grow([position_by_kind[best_structure]], lambda c: c.qic_u, "QICu")
+    phase2 = grow([s for s in structures if s.kind == best_structure],
+                  lambda c: c.qic_u, "QICu")
     trace.append(f"Phase 2 winner: {_fmt_subset(phase2.covariates)}")
     return SelectionReport(
         tuple(candidates), best_structure, phase2.covariates, tuple(trace)

@@ -386,7 +386,6 @@ def test_robust_se_from_published_diagonal():
     fit = GeeFit(
         beta=np.array([-0.655, -0.822]),
         structure=Independent(),
-        alpha_estimates=None,
         phi=1.0,
         cov_model_based=np.eye(2),
         cov_robust=np.diag([0.1103, 0.1444]),
@@ -401,7 +400,7 @@ def test_robust_se_from_published_diagonal():
 
 def test_robust_se_identity():
     fit = GeeFit(
-        beta=np.zeros(3), structure=Independent(), alpha_estimates=None, phi=1.0,
+        beta=np.zeros(3), structure=Independent(), phi=1.0,
         cov_model_based=np.eye(3), cov_robust=np.eye(3),
         quasi_likelihood_independence=0.0, iterations=1, converged=True,
     )

@@ -35,6 +35,7 @@ from geeclust.errors import (
     RankDeficient,
     UnderdeterminedLag,
 )
+from geeclust.gee import STRUCTURE_CLASSES
 
 BINOMIAL = Family("binomial", "logit")
 FIVE = [Independent(), MDependent(2), Exchangeable(), AR1(), Unstructured(6)]
@@ -257,7 +258,8 @@ def reference_selection(ds, f, terms, structures, mode, max_size):
         return SelectionReport(tuple(candidates), phase1.structure, phase2.covariates, trace)
 
     candidates, trace = [], []
-    by_kind = {s.kind: s for s in sorted(structures, key=geeclust.select._kind_rank)}
+    by_kind = {s.kind: s for s in sorted(structures,
+                                         key=lambda s: STRUCTURE_CLASSES.index(type(s)))}
 
     def grow(pool, criterion, label):
         current, current_best, winner, step = (), float("inf"), None, 0
