@@ -11,9 +11,6 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass, field
-from typing import Optional
-
 import numpy as np
 
 from .data import (
@@ -34,6 +31,7 @@ from .errors import (
 )
 from .gee import (
     AR1,
+    STRUCTURE_CLASSES,
     Exchangeable,
     Fixed,
     Independent,
@@ -67,33 +65,6 @@ class ConfigError(Exception):
     pass
 
 
-@dataclass
-class RunConfig:
-    """Parsed invocation; exactly one command with its flags."""
-
-    command: str
-    data: Optional[str] = None
-    out: Optional[str] = None
-    output_format: str = "text"
-    response: Optional[str] = None
-    cluster: Optional[str] = None
-    within: Optional[str] = None
-    factors: tuple = field(default_factory=tuple)
-    covariates: tuple = field(default_factory=tuple)
-    ref_category: str = "first"
-    corr: str = "independent"
-    m_order: int = 2
-    corr_file: Optional[str] = None
-    factor: Optional[str] = None
-    mode: str = "exhaustive"
-    max_size: Optional[int] = None
-    structures: tuple = field(default_factory=tuple)
-    n_clusters: int = 135
-    alpha: float = 0.3
-    seed: int = 0
-    paper_marginals: bool = False
-
-
 def _f3(x) -> str:
     return f"{x:.3f}"
 
@@ -120,15 +91,15 @@ def _split_list(values):
     return out
 
 
-def _terms_from_config(cfg: RunConfig):
-    terms = [_parse_factor_flag(text) for text in cfg.factors]
-    terms += [TermCoding(name, "covariate") for name in cfg.covariates]
+def _terms_from_args(args):
+    terms = [_parse_factor_flag(text) for text in _split_list(args.factors)]
+    terms += [TermCoding(name, "covariate") for name in _split_list(args.covariates)]
     if not terms:
         raise ConfigError("no model terms: pass --factors and/or --covariates")
     return terms
 
 
-def _structure_from_name(name, cfg: RunConfig, ds):
+def _structure_from_name(name, args, ds):
     name = name.strip().lower()
     if name == "independent":
         return Independent()
@@ -137,44 +108,38 @@ def _structure_from_name(name, cfg: RunConfig, ds):
     if name in ("ar1", "ar-1"):
         return AR1()
     if name in ("mdependent", "m-dependent"):
-        return MDependent(cfg.m_order)
+        return MDependent(args.m_order)
     if name == "unstructured":
         return Unstructured(ds.max_position)
     if name == "fixed":
-        if not cfg.corr_file:
+        if not args.corr_file:
             raise ConfigError("--corr fixed requires --corr-file")
-        matrix = np.loadtxt(cfg.corr_file, delimiter=",", ndmin=2)
+        matrix = np.loadtxt(args.corr_file, delimiter=",", ndmin=2)
         return Fixed(matrix)
     raise ConfigError(f"unknown working correlation {name!r}")
 
 
-def _load_model_data(cfg: RunConfig):
-    ds = load_csv(cfg.data, cfg.cluster, cfg.response, cfg.within)
-    ds = recode_response(ds, cfg.response, cfg.ref_category)
+def _load_model_data(args):
+    ds = load_csv(args.data, args.cluster, args.response, args.within)
+    ds = recode_response(ds, args.response, args.ref_category)
     return ds
 
 
 def _alpha_payload(fit):
     a = fit.alpha_estimates
-    if a is None:
-        return None
-    if isinstance(a, tuple):
-        return list(a)
-    if isinstance(a, np.ndarray):
-        return a.tolist()
-    return float(a)
+    return None if a is None else np.asarray(a, dtype=float).tolist()
 
 
 # ----------------------------------------------------------------------- fit
 
-def cmd_fit(cfg: RunConfig) -> int:
-    ds = _load_model_data(cfg)
-    terms = _terms_from_config(cfg)
+def cmd_fit(args) -> int:
+    ds = _load_model_data(args)
+    terms = _terms_from_args(args)
     ds, dropped = complete_cases(ds, [t.name for t in terms])
     if dropped:
         log.warning("dropped %d incomplete rows", dropped)
     x = build_design(ds, terms)
-    structure = _structure_from_name(cfg.corr, cfg, ds)
+    structure = _structure_from_name(args.corr, args, ds)
     family = Family("binomial", "logit")
     partial = False
     try:
@@ -191,9 +156,9 @@ def cmd_fit(cfg: RunConfig) -> int:
     payload = {
         "command": "fit",
         "model": {
-            "data": cfg.data,
-            "response": cfg.response,
-            "reference_category": cfg.ref_category,
+            "data": args.data,
+            "response": args.response,
+            "reference_category": args.ref_category,
             "family": family.distribution,
             "link": family.link,
             "correlation": structure.kind,
@@ -227,7 +192,7 @@ def cmd_fit(cfg: RunConfig) -> int:
         "converged": bool(fit.converged),
         "iterations": int(fit.iterations),
     }
-    _emit(payload, cfg.output_format, render_fit_text, table="rows")
+    _emit(payload, args.output_format, render_fit_text, table="rows")
     return NONCONVERGENCE if partial else 0
 
 
@@ -287,20 +252,21 @@ def _render_alpha(a) -> str:
 
 # -------------------------------------------------------------------- select
 
-def cmd_select(cfg: RunConfig) -> int:
-    ds = _load_model_data(cfg)
-    terms = _terms_from_config(cfg)
-    if cfg.structures:
-        structures = [_structure_from_name(n, cfg, ds) for n in cfg.structures]
+def cmd_select(args) -> int:
+    ds = _load_model_data(args)
+    terms = _terms_from_args(args)
+    names = _split_list([args.structures or ""])
+    if names:
+        structures = [_structure_from_name(n, args, ds) for n in names]
     else:
-        structures = default_structures(ds, cfg.m_order)
+        structures = default_structures(ds, args.m_order)
     family = Family("binomial", "logit")
     report = run_selection(
-        ds, family, terms, structures, mode=cfg.mode, max_size=cfg.max_size
+        ds, family, terms, structures, mode=args.mode, max_size=args.max_size
     )
     payload = {
         "command": "select",
-        "mode": cfg.mode,
+        "mode": args.mode,
         "candidates": [
             {
                 "structure": c.structure,
@@ -317,7 +283,7 @@ def cmd_select(cfg: RunConfig) -> int:
         "best_model": list(report.best_model),
         "trace": list(report.trace),
     }
-    _emit(payload, cfg.output_format, render_select_text, table="candidates")
+    _emit(payload, args.output_format, render_select_text, table="candidates")
     return 0
 
 
@@ -350,9 +316,9 @@ def render_select_text(payload) -> str:
 
 # ------------------------------------------------------------------ crosstab
 
-def cmd_crosstab(cfg: RunConfig) -> int:
-    ds = load_csv(cfg.data, cfg.cluster, cfg.response, cfg.within)
-    table = crosstab_2x2(ds, cfg.factor)
+def cmd_crosstab(args) -> int:
+    ds = load_csv(args.data, args.cluster, args.response)
+    table = crosstab_2x2(ds, args.factor)
     panels = []
     for response_ref, order, t in reference_panels(table):
         try:
@@ -371,11 +337,11 @@ def cmd_crosstab(cfg: RunConfig) -> int:
         )
     payload = {
         "command": "crosstab",
-        "response": cfg.response,
-        "factor": cfg.factor,
+        "response": args.response,
+        "factor": args.factor,
         "panels": panels,
     }
-    _emit(payload, cfg.output_format, render_crosstab_text)
+    _emit(payload, args.output_format, render_crosstab_text)
     return 0
 
 
@@ -406,13 +372,13 @@ def render_crosstab_text(payload) -> str:
 
 # ----------------------------------------------------------------- summarize
 
-def cmd_summarize(cfg: RunConfig) -> int:
-    ds = load_csv(cfg.data, cfg.cluster, cfg.response, cfg.within)
+def cmd_summarize(args) -> int:
+    ds = load_csv(args.data, args.cluster, args.response, args.within)
     sizes = ds.cluster_sizes()
     histogram = {}
     for size in sizes:
         histogram[size] = histogram.get(size, 0) + 1
-    summary = concordance_summary(ds, cfg.response)
+    summary = concordance_summary(ds, args.response)
     payload = {
         "command": "summarize",
         "n_clusters": ds.n_clusters,
@@ -426,7 +392,7 @@ def cmd_summarize(cfg: RunConfig) -> int:
             "singletons": summary.singletons,
         },
     }
-    _emit(payload, cfg.output_format, render_summarize_text)
+    _emit(payload, args.output_format, render_summarize_text)
     return 0
 
 
@@ -452,15 +418,15 @@ def render_summarize_text(payload) -> str:
 
 # ------------------------------------------------------------------ simulate
 
-def cmd_simulate(cfg: RunConfig) -> int:
-    if cfg.paper_marginals:
-        ds = build_paper_marginals(cfg.seed)
+def cmd_simulate(args) -> int:
+    if args.paper_marginals:
+        ds = build_paper_marginals(args.seed)
     else:
-        ds = generate_paper(cfg.n_clusters, cfg.alpha, cfg.seed)
-    write_csv(ds, cfg.out)
-    print(f"seed: {cfg.seed}")
+        ds = generate_paper(args.n_clusters, args.alpha, args.seed)
+    write_csv(ds, args.out)
+    print(f"seed: {args.seed}")
     print(f"clusters: {ds.n_clusters} | rows: {ds.n_total}")
-    print(f"wrote: {cfg.out}")
+    print(f"wrote: {args.out}")
     return 0
 
 
@@ -503,13 +469,14 @@ def _add_model_flags(parser, selection=False):
                         help="lag depth for the m-dependent structure")
     if not selection:
         parser.add_argument(
-            "--corr",
-            choices=("independent", "mdependent", "exchangeable", "ar1",
-                     "unstructured", "fixed"),
+            "--corr", choices=[c.kind for c in STRUCTURE_CLASSES],
             default="independent", help="working correlation structure",
         )
         parser.add_argument("--corr-file",
                             help="CSV matrix for --corr fixed")
+    else:
+        # no --corr-file: a fixed structure in --structures reports it missing
+        parser.set_defaults(corr_file=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -547,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate = sub.add_parser("simulate", help="write a simulated dataset")
     simulate.add_argument("--out", required=True, help="output CSV path")
     simulate.add_argument("--seed", type=int, default=0)
-    simulate.add_argument("--clusters", type=int, default=135)
+    simulate.add_argument("--clusters", type=int, default=135, dest="n_clusters")
     simulate.add_argument("--alpha", type=float, default=0.3)
     simulate.add_argument(
         "--paper-marginals", action="store_true",
@@ -561,21 +528,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("text", "json"),
                        default="text", dest="output_format")
     return parser
-
-
-def _config_from_args(args) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    for name in vars(cfg):
-        if hasattr(args, name):
-            setattr(cfg, name, getattr(args, name))
-    if args.command in ("fit", "select"):
-        cfg.factors = tuple(_split_list(args.factors))
-        cfg.covariates = tuple(_split_list(args.covariates))
-    if args.command == "select" and args.structures:
-        cfg.structures = tuple(_split_list([args.structures]))
-    if args.command == "simulate":
-        cfg.n_clusters = args.clusters
-    return cfg
 
 
 COMMANDS = {
@@ -600,8 +552,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if exc.code is not None else CONFIG_ERROR
     try:
-        cfg = _config_from_args(args)
-        return COMMANDS[cfg.command](cfg)
+        return COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CONFIG_ERROR
