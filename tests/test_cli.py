@@ -11,6 +11,7 @@ from geeclust import (
     build_paper_marginals,
     derive_threshold,
     generate,
+    load_csv,
     write_csv,
 )
 from geeclust.cli import main, render_fit_text
@@ -110,6 +111,27 @@ def test_fit_json_round_trip(paper_csv, capsys):
             "p_value", "exp_b", "exp_ci_low", "exp_ci_high",
         }
     assert render_fit_text(payload) == text
+
+
+def test_fit_fixed_identity_matches_independent(paper_csv, tmp_path, capsys):
+    size = load_csv(paper_csv, "ID", "LOOSENING", "AREA2").max_position
+    matrix = tmp_path / "identity.csv"
+    np.savetxt(matrix, np.eye(size), delimiter=",")
+    assert main(fit_args(paper_csv, "--corr", "fixed", "--corr-file", str(matrix),
+                         "--format", "json")) == 0
+    fixed = json.loads(capsys.readouterr().out)
+    assert main(fit_args(paper_csv, "--corr", "independent", "--format", "json")) == 0
+    independent = json.loads(capsys.readouterr().out)
+    assert fixed["model"]["correlation"] == "fixed"
+    assert fixed["alpha"] == np.eye(size).tolist()
+    assert [r["b"] for r in fixed["rows"]] == pytest.approx(
+        [r["b"] for r in independent["rows"]], abs=1e-10)
+
+
+@pytest.mark.parametrize("command, flag", [("fit", "--corr"), ("select", "--structures")])
+def test_fixed_without_corr_file_is_config_error(paper_csv, capsys, command, flag):
+    assert main([command, *fit_args(paper_csv)[1:], flag, "fixed"]) == 2
+    assert "--corr fixed requires --corr-file" in capsys.readouterr().err
 
 
 def test_fit_nonconvergence_exit_code(paper_csv, capsys, monkeypatch):
