@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import expit
 
 from geeclust import (
@@ -16,14 +18,19 @@ from geeclust import (
     TermCoding,
     Unstructured,
     build_design,
+    complete_cases,
+    default_structures,
     estimate_alpha,
     estimate_phi,
     fit_gee,
+    generate_paper,
     irls_fit,
     realize_correlation,
+    recode_response,
     robust_se,
 )
 from geeclust.errors import (
+    GeeError,
     InvalidAlpha,
     NoConvergence,
     NoPairs,
@@ -445,3 +452,40 @@ def test_gee_rank_deficient():
 
     with pytest.raises(RankDeficient):
         fit_gee(DesignMatrix(x_bad, ("(Intercept)", "dup")), ds, BINOMIAL, Independent())
+
+
+def _fit_coded(ds, structure, reference):
+    """The fit of LOOSENING coded with `reference` as baseline, or the
+    exception class that stopped it."""
+    coded = recode_response(ds, "LOOSENING", reference)
+    terms = [TermCoding("AREA1", "factor", "descending"),
+             TermCoding("AGE1", "factor", "descending")]
+    coded, _ = complete_cases(coded, [t.name for t in terms])
+    try:
+        return fit_gee(build_design(coded, terms), coded, BINOMIAL, structure)
+    except GeeError as exc:
+        return type(exc)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_reference_category_flip_negates_beta(seed):
+    # y -> 1 - y negates every residual, so the moment estimates, phi and
+    # the sandwich are unchanged while the logit coefficients change sign
+    ds = generate_paper(60, 0.3, seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UnderdeterminedLag)
+        for structure in default_structures(ds):
+            first = _fit_coded(ds, structure, "first")
+            last = _fit_coded(ds, structure, "last")
+            if isinstance(first, type) or isinstance(last, type):
+                assert first == last, structure.kind
+                continue
+            assert np.max(np.abs(first.beta + last.beta)) <= 1e-10
+            assert np.allclose(robust_se(first), robust_se(last), rtol=0, atol=1e-10)
+            assert first.phi == pytest.approx(last.phi, abs=1e-10)
+            # independence has no alpha: None reads as nan on both sides
+            assert np.allclose(np.asarray(first.alpha_estimates, dtype=float),
+                               np.asarray(last.alpha_estimates, dtype=float),
+                               rtol=0, atol=1e-10, equal_nan=True)
+            assert first.iterations == last.iterations
