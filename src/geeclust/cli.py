@@ -11,6 +11,7 @@ import json
 import logging
 import os
 import sys
+
 import numpy as np
 
 from .data import (
@@ -514,7 +515,8 @@ def build_parser() -> argparse.ArgumentParser:
     simulate = sub.add_parser("simulate", help="write a simulated dataset")
     simulate.add_argument("--out", required=True, help="output CSV path")
     simulate.add_argument("--seed", type=int, default=0)
-    simulate.add_argument("--clusters", type=int, default=135, dest="n_clusters")
+    simulate.add_argument("--clusters", type=int, default=135, dest="n_clusters",
+                          metavar="CLUSTERS")
     simulate.add_argument("--alpha", type=float, default=0.3)
     simulate.add_argument(
         "--paper-marginals", action="store_true",

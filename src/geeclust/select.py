@@ -125,9 +125,9 @@ class _Evaluator:
 
     A covariate subset is filtered to its complete cases and coded once, and
     a (subset, structure) pair is fitted once: a walk that comes back to the
-    pair gets the same Candidate.  Structures are keyed by their kind, which
-    is unique among the offered ones, because the ones holding a template
-    array cannot be hashed.
+    pair gets the same Candidate.  Structures are keyed by kind, unique among
+    the offered ones, since the ones holding a template array cannot be
+    hashed.
     """
 
     def __init__(self, ds, f, terms, options):
