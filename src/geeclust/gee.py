@@ -295,7 +295,7 @@ CorrelationStructure = Union[STRUCTURE_CLASSES]
 
 
 def _check_structure(cs):
-    if type(cs) not in STRUCTURE_CLASSES:
+    if not hasattr(cs, "realize"):
         raise TypeError(f"unknown correlation structure {cs!r}")
 
 

@@ -90,7 +90,8 @@ def _canonical(structures):
     for kind in kinds:
         if kinds.count(kind) > 1:
             raise ValueError(f"structure kind {kind!r} offered more than once")
-    return sorted(structures, key=lambda s: STRUCTURE_CLASSES.index(type(s)))
+    order = [c.kind for c in STRUCTURE_CLASSES]
+    return sorted(structures, key=lambda s: order.index(s.kind))
 
 
 def enumerate_candidates(terms, structures, max_size):

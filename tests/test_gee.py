@@ -125,6 +125,13 @@ def test_realize_size_exceeds_template():
         realize_correlation(Unstructured(2), 3)
 
 
+def test_unknown_structure_is_a_type_error():
+    with pytest.raises(TypeError, match="unknown correlation structure"):
+        realize_correlation("exchangeable", 2)
+    with pytest.raises(TypeError, match="unknown correlation structure"):
+        estimate_alpha("exchangeable", [0.5, -0.5], [1, 2], [2], 1.0, 1)
+
+
 def test_invalid_alpha_rejected():
     with pytest.raises(InvalidAlpha):
         Exchangeable(1.0)
