@@ -1,4 +1,5 @@
 import csv
+import gc
 import io
 import json
 
@@ -128,10 +129,16 @@ def test_fit_fixed_identity_matches_independent(paper_csv, tmp_path, capsys):
         [r["b"] for r in independent["rows"]], abs=1e-10)
 
 
-@pytest.mark.parametrize("command, flag", [("fit", "--corr"), ("select", "--structures")])
-def test_fixed_without_corr_file_is_config_error(paper_csv, capsys, command, flag):
+@pytest.mark.parametrize("command, flag, message", [
+    pytest.param("fit", "--corr", "--corr fixed requires --corr-file", id="fit---corr"),
+    # select has no --corr-file, so it does not take the name at all
+    pytest.param("select", "--structures", "unknown working correlation 'fixed'",
+                 id="select---structures"),
+])
+def test_fixed_without_corr_file_is_config_error(paper_csv, capsys, command, flag,
+                                                 message):
     assert main([command, *fit_args(paper_csv)[1:], flag, "fixed"]) == 2
-    assert "--corr fixed requires --corr-file" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_fit_nonconvergence_exit_code(paper_csv, capsys, monkeypatch):
@@ -263,6 +270,41 @@ def test_select_rejects_a_repeated_structure_kind(paper_csv, capsys):
     assert "exchangeable" in capsys.readouterr().err
 
 
+def test_select_takes_the_five_kinds(paper_csv, capsys):
+    code = main([
+        "select", "--data", paper_csv, "--response", "LOOSENING",
+        "--cluster", "ID", "--within", "AREA2", "--factors", "AREA1:desc",
+        "--structures", "independent,mdependent, exchangeable,ar1,unstructured",
+        "--format", "json",
+    ])
+    assert code == 0
+    candidates = json.loads(capsys.readouterr().out)["candidates"]
+    assert sorted({c["structure"] for c in candidates}) == [
+        "ar1", "exchangeable", "independent", "mdependent", "unstructured"]
+
+
+@pytest.mark.parametrize("name", ["ar-1", "m-dependent", "Exchangeable", "bogus"])
+def test_select_rejects_any_other_structure_name(paper_csv, capsys, name):
+    code = main([
+        "select", "--data", paper_csv, "--response", "LOOSENING",
+        "--cluster", "ID", "--within", "AREA2", "--factors", "AREA1:desc",
+        "--structures", f"independent,{name}",
+    ])
+    assert code == 2
+    assert f"unknown working correlation {name!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("names", [",", ""])
+def test_select_empty_structure_list_is_config_error(paper_csv, capsys, names):
+    code = main([
+        "select", "--data", paper_csv, "--response", "LOOSENING",
+        "--cluster", "ID", "--within", "AREA2", "--factors", "AREA1:desc",
+        "--structures", names,
+    ])
+    assert code == 2
+    assert "--structures" in capsys.readouterr().err
+
+
 def test_select_stepwise_trace(paper_csv, capsys):
     code = main([
         "select", "--data", paper_csv, "--response", "LOOSENING",
@@ -365,3 +407,29 @@ def test_simulate_paper_marginals_flag(tmp_path, capsys):
     capsys.readouterr()
     with open(path) as handle:
         assert sum(1 for _ in handle) == 306
+
+
+@pytest.mark.parametrize("clusters", ["0", "-3"])
+def test_simulate_needs_at_least_one_cluster(tmp_path, capsys, clusters):
+    path = tmp_path / "sim.csv"
+    assert main(["simulate", "--out", str(path), "--clusters", clusters]) == 2
+    assert "clusters must be at least 1" in capsys.readouterr().err
+    assert not path.exists()
+
+
+# ------------------------------------------------------------ collector load
+
+def test_fit_leaves_no_reference_cycles(paper_csv, capsys):
+    """A fit call leaves (next to) nothing for the cyclic collector, so a
+    process that fits many files does not pay for full collections."""
+    argv = fit_args(paper_csv, "--corr", "exchangeable", "--format", "text")
+    assert main(argv) == 0          # warm-up: imports, caches, logging setup
+    gc.collect()
+    gc.disable()
+    try:
+        assert main(argv) == 0
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    capsys.readouterr()
+    assert unreachable < 50

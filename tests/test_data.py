@@ -1,4 +1,5 @@
 import csv
+import gc
 from math import isfinite
 
 import numpy as np
@@ -168,6 +169,27 @@ def test_load_single_row(tmp_path):
     assert ds.n_clusters == 1
     assert ds.cluster_sizes() == [1]
     assert ds.response_vector().tolist() == [1.0]
+
+
+def test_load_csv_starts_no_collections(tmp_path):
+    """Reading 18,181 rows keeps no per-row objects alive, so the cyclic
+    collector has (next to) nothing to scan or promote."""
+    path = tmp_path / "big.csv"
+    write_csv(generate_paper(8000, 0.25, 5), path)
+    started = []
+
+    def count(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        ds = load_csv(path, "ID", "LOOSENING", "AREA2")
+    finally:
+        gc.callbacks.remove(count)
+    assert ds.n_total == 18181
+    assert len(started) <= 1, started
 
 
 def test_load_unopenable_file_raises_the_os_error(tmp_path):
