@@ -100,24 +100,38 @@ def _terms_from_args(args):
     return terms
 
 
-def _structure_from_name(name, args, ds):
-    name = name.strip().lower()
-    if name == "independent":
+# the kinds `select --structures` takes: every kind but fixed, which needs a
+# --corr-file that select does not have
+SELECT_KINDS = tuple(c.kind for c in STRUCTURE_CLASSES if c is not Fixed)
+
+
+def _structure_kinds(text):
+    """The kinds named in a --structures value, each one of SELECT_KINDS."""
+    names = [part.strip() for part in text.split(",") if part.strip()]
+    if not names:
+        raise argparse.ArgumentTypeError("no structure kind given")
+    for name in names:
+        if name not in SELECT_KINDS:
+            raise argparse.ArgumentTypeError(f"unknown working correlation {name!r}")
+    return names
+
+
+def _structure_from_name(kind, args, ds):
+    """The structure of a kind that the parser has already checked."""
+    if kind == "independent":
         return Independent()
-    if name == "exchangeable":
+    if kind == "exchangeable":
         return Exchangeable()
-    if name in ("ar1", "ar-1"):
+    if kind == "ar1":
         return AR1()
-    if name in ("mdependent", "m-dependent"):
+    if kind == "mdependent":
         return MDependent(args.m_order)
-    if name == "unstructured":
+    if kind == "unstructured":
         return Unstructured(ds.max_position)
-    if name == "fixed":
-        if not args.corr_file:
-            raise ConfigError("--corr fixed requires --corr-file")
-        matrix = np.loadtxt(args.corr_file, delimiter=",", ndmin=2)
-        return Fixed(matrix)
-    raise ConfigError(f"unknown working correlation {name!r}")
+    if not args.corr_file:
+        raise ConfigError("--corr fixed requires --corr-file")
+    matrix = np.loadtxt(args.corr_file, delimiter=",", ndmin=2)
+    return Fixed(matrix)
 
 
 def _load_model_data(args):
@@ -256,11 +270,10 @@ def _render_alpha(a) -> str:
 def cmd_select(args) -> int:
     ds = _load_model_data(args)
     terms = _terms_from_args(args)
-    names = _split_list([args.structures or ""])
-    if names:
-        structures = [_structure_from_name(n, args, ds) for n in names]
-    else:
+    if args.structures is None:
         structures = default_structures(ds, args.m_order)
+    else:
+        structures = [_structure_from_name(n, args, ds) for n in args.structures]
     family = Family("binomial", "logit")
     report = run_selection(
         ds, family, terms, structures, mode=args.mode, max_size=args.max_size
@@ -420,6 +433,8 @@ def render_summarize_text(payload) -> str:
 # ------------------------------------------------------------------ simulate
 
 def cmd_simulate(args) -> int:
+    if args.n_clusters < 1:
+        raise ConfigError(f"--clusters must be at least 1, got {args.n_clusters}")
     if args.paper_marginals:
         ds = build_paper_marginals(args.seed)
     else:
@@ -475,9 +490,6 @@ def _add_model_flags(parser, selection=False):
         )
         parser.add_argument("--corr-file",
                             help="CSV matrix for --corr fixed")
-    else:
-        # no --corr-file: a fixed structure in --structures reports it missing
-        parser.set_defaults(corr_file=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -496,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
     select.add_argument("--mode", choices=("exhaustive", "stepwise"),
                         default="exhaustive")
     select.add_argument("--max-size", type=int, help="largest subset to try")
-    select.add_argument("--structures",
+    select.add_argument("--structures", type=_structure_kinds,
                         help="comma-separated structure kinds to cross")
 
     crosstab = sub.add_parser("crosstab", help="2x2 reference-category panels")
@@ -540,6 +552,10 @@ COMMANDS = {
     "simulate": cmd_simulate,
 }
 
+# Built once per process: a parser is costly to build, and each one built
+# leaves hundreds of objects in reference cycles for the cyclic collector.
+PARSER = build_parser()
+
 
 def main(argv=None) -> int:
     level = os.environ.get("GEE_LOG", "warning").upper()
@@ -548,9 +564,8 @@ def main(argv=None) -> int:
         level=getattr(logging, level, logging.WARNING),
         format="%(levelname)s %(name)s: %(message)s",
     )
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = PARSER.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else CONFIG_ERROR
     try:

@@ -28,6 +28,7 @@ nan or inf.  Every array is read-only.
 import csv
 import logging
 from collections import Counter
+from itertools import compress, islice
 from dataclasses import dataclass, field, replace
 from math import isfinite
 from numbers import Real
@@ -251,6 +252,12 @@ def _cluster_key(text):
     return _format_cell(value) if isfinite(value) else value
 
 
+# Rows read per batch.  Each batch's row lists die by reference count before
+# the next is read, so the cyclic collector never has a file's worth of them
+# to scan and promote.
+READ_BATCH_ROWS = 256
+
+
 def _read_columns(path, required):
     """Header, file row numbers and cell columns of a CSV file.
 
@@ -271,15 +278,20 @@ def _read_columns(path, required):
         repeated = [name for name, count in Counter(header).items() if count > 1]
         if repeated:
             raise DuplicateColumn(repeated[0])
-        table = list(reader)
-    width = len(header)
-    nonblank = np.fromiter(map(any, table), bool, len(table))
-    row_nums = (np.flatnonzero(nonblank) + 2).tolist()
-    if not nonblank.all():
-        table = [cells for cells in table if any(cells)]
-    if table and min(map(len, table)) < width:
-        table = [cells + [""] * (width - len(cells)) for cells in table]
-    return header, row_nums, list(zip(*table)) if table else [()] * width
+        width = len(header)
+        row_nums, columns = [], [[] for _ in header]
+        first = 2
+        while chunk := list(islice(reader, READ_BATCH_ROWS)):
+            nonblank = list(map(any, chunk))
+            row_nums += compress(range(first, first + len(chunk)), nonblank)
+            first += len(chunk)
+            if not all(nonblank):
+                chunk = list(compress(chunk, nonblank))
+            if chunk and min(map(len, chunk)) < width:
+                chunk = [cells + [""] * (width - len(cells)) for cells in chunk]
+            for column, cells in zip(columns, zip(*chunk)):
+                column += cells
+    return header, row_nums, columns
 
 
 def _occasions(code, ids, within):

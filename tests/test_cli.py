@@ -15,7 +15,7 @@ from geeclust import (
     load_csv,
     write_csv,
 )
-from geeclust.cli import main, render_fit_text
+from geeclust.cli import PARSER, main, render_fit_text
 from geeclust.errors import NoConvergence
 
 
@@ -160,6 +160,34 @@ def test_fit_nonconvergence_exit_code(paper_csv, capsys, monkeypatch):
     assert code == 4
     assert "Converged: NO" in out
     assert "(Intercept)" in out          # partial report still printed
+
+
+def test_shared_parser_keeps_no_state_between_calls(paper_csv, tmp_path, capsys):
+    base = ["fit", "--data", paper_csv, "--response", "LOOSENING", "--cluster", "ID",
+            "--within", "AREA2", "--format", "json"]
+    assert main([*base, "--factors", "AGE1", "--factors", "AREA1"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["model"]["terms"]) == 2
+    assert main([*base, "--factors", "NINSERT1"]) == 0
+    single = capsys.readouterr().out
+    assert [t["name"] for t in json.loads(single)["model"]["terms"]] == ["NINSERT1"]
+
+    # a rejected call, then the same valid call again
+    assert main([*base, "--factors", "AGE1", "--corr", "bogus"]) == 2
+    capsys.readouterr()
+    assert main([*base, "--factors", "NINSERT1"]) == 0
+    assert capsys.readouterr().out == single
+
+    # a --corr-file given to one call is not seen by the next
+    size = load_csv(paper_csv, "ID", "LOOSENING", "AREA2").max_position
+    matrix = tmp_path / "identity.csv"
+    np.savetxt(matrix, np.eye(size), delimiter=",")
+    assert main([*base, "--factors", "AGE1", "--corr", "fixed",
+                 "--corr-file", str(matrix)]) == 0
+    capsys.readouterr()
+    assert main([*base, "--factors", "AGE1", "--corr", "fixed"]) == 2
+    assert "--corr fixed requires --corr-file" in capsys.readouterr().err
+    select = PARSER.parse_args(["select", *base[1:], "--factors", "AGE1"])
+    assert getattr(select, "corr_file", None) is None
 
 
 # ------------------------------------------------------------------ exit codes

@@ -509,6 +509,82 @@ def test_load_csv_matches_reference_loader(tmp_path_factory, case):
     assert got == expected
 
 
+# load_csv reads a file in batches of 256 records: file rows 2-257, 258-513,
+# 514-769, ...  These are the rows on either side of the first two seams.
+SEAM_ROWS = (256, 257, 258, 513, 514)
+SEAM_LAYOUTS = ("row", "blank", "blank cells", "short 1", "short 2", "short 3", "long")
+# a repeated within value, or one cell replaced: (column index, text); a blank
+# response drops its row and a text A cell is kept, the others are errors
+SEAM_FAULTS = (None, "repeat", (0, ""), (1, "nan"), (1, "yes"), (1, ""), (2, "x"),
+               (3, "inf"), (3, "abc"))
+
+
+def _seam_row(i):
+    """Record i of a clean file with header ID,Y,T,A: clusters of four rows
+    with occasions 1-4, a blank A cell now and then."""
+    return [str(i // 4), str(i * 7 % 3 % 2), str(i % 4 + 1), "" if i % 11 == 0 else str(i % 7)]
+
+
+def _seam_cases():
+    """(rows, layout of each seam row, fault row, fault, within column).
+
+    Each fault at each seam row, the layouts rotating so that every layout
+    sits at every seam row; then files that end at or near a seam."""
+    cases = []
+    for k, (fault_row, fault) in enumerate(
+            (row, fault) for row in SEAM_ROWS for fault in SEAM_FAULTS):
+        layouts = [SEAM_LAYOUTS[(k + j) % len(SEAM_LAYOUTS)] for j in range(len(SEAM_ROWS))]
+        n_rows = (513, 514, 600, 800)[k % 4]
+        name = fault if fault in (None, "repeat") else f"{('ID', 'Y', 'T', 'A')[fault[0]]}={fault[1] or 'blank'}"
+        cases.append(pytest.param(n_rows, layouts, fault_row, fault, "T",
+                                  id=f"{n_rows}-row{fault_row}-{name}"))
+    for n_rows in (255, 256, 257, 512):
+        for within in (None, "T"):
+            cases.append(pytest.param(
+                n_rows, ["long", "short 2", "blank", "blank cells", "long"], None, None,
+                within, id=f"{n_rows}-within{within}"))
+    return cases
+
+
+def _seam_lines(n_rows, layouts, fault_row, fault):
+    lines = [_seam_row(i) for i in range(n_rows)]
+    for file_row, layout in zip(SEAM_ROWS, layouts):
+        i = file_row - 2
+        if i >= n_rows:
+            continue
+        if layout == "blank":
+            lines[i] = []
+        elif layout == "blank cells":
+            lines[i] = ["", "", "", ""]
+        elif layout.startswith("short"):
+            lines[i] = lines[i][:int(layout[-1])]
+        elif layout == "long":
+            lines[i] = lines[i] + ["x", "nan"]
+    if fault is not None:
+        i = fault_row - 2
+        lines[i] = _seam_row(i)
+        if fault == "repeat":
+            lines[i][0], lines[i][2] = _seam_row(i - 1)[0], _seam_row(i - 1)[2]
+        else:
+            lines[i][fault[0]] = fault[1]
+    return lines
+
+
+@pytest.mark.parametrize("n_rows, layouts, fault_row, fault, within", _seam_cases())
+def test_load_csv_matches_reference_loader_across_batches(
+        tmp_path, n_rows, layouts, fault_row, fault, within):
+    path = tmp_path / "seams.csv"
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["ID", "Y", "T", "A"])
+        writer.writerows(_seam_lines(n_rows, layouts, fault_row, fault))
+    expected = _outcome(reference_load_csv, path, within)
+    got = _outcome(load_csv, path, within)
+    if isinstance(got, ClusteredDataset):
+        got = _loaded(got)
+    assert got == expected
+
+
 @st.composite
 def small_datasets(draw):
     ids = draw(st.lists(st.one_of(st.integers(0, 999).map(str),
