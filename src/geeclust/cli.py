@@ -107,7 +107,7 @@ SELECT_KINDS = tuple(c.kind for c in STRUCTURE_CLASSES if c is not Fixed)
 
 def _structure_kinds(text):
     """The kinds named in a --structures value, each one of SELECT_KINDS."""
-    names = [part.strip() for part in text.split(",") if part.strip()]
+    names = [name for name in map(str.strip, text.split(",")) if name]
     if not names:
         raise argparse.ArgumentTypeError("no structure kind given")
     for name in names:
@@ -116,17 +116,18 @@ def _structure_kinds(text):
     return names
 
 
-def _structure_from_name(kind, args, ds):
-    """The structure of a kind that the parser has already checked."""
-    if kind == "independent":
+def _structure_from_name(name, args, ds):
+    """The structure of a kind that the parser has already checked; a name
+    that is none of the others is fixed."""
+    if name == "independent":
         return Independent()
-    if kind == "exchangeable":
+    if name == "exchangeable":
         return Exchangeable()
-    if kind == "ar1":
+    if name == "ar1":
         return AR1()
-    if kind == "mdependent":
+    if name == "mdependent":
         return MDependent(args.m_order)
-    if kind == "unstructured":
+    if name == "unstructured":
         return Unstructured(ds.max_position)
     if not args.corr_file:
         raise ConfigError("--corr fixed requires --corr-file")
