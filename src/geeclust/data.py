@@ -28,8 +28,8 @@ nan or inf.  Every array is read-only.
 import csv
 import logging
 from collections import Counter
-from itertools import compress, islice
 from dataclasses import dataclass, field, replace
+from itertools import compress, islice
 from math import isfinite
 from numbers import Real
 from typing import Mapping, Optional
