@@ -185,6 +185,131 @@ def test_paper_datasets_keep_their_digests(seed, tmp_path):
     assert hashlib.sha256(marginals).hexdigest() == MARGINALS_DIGESTS[seed]
 
 
+MAXILLARY = (2.0, 4.0, 6.0, 8.0, 10.0, 12.0)
+MANDIBULAR = (1.0, 3.0, 5.0, 7.0, 9.0, 11.0)
+
+
+def reference_draw(rng, pairs):
+    """One value of (value, probability) pairs from its own `choice` call."""
+    values = [v for v, _ in pairs]
+    return values[rng.choice(len(values), p=[p for _, p in pairs])]
+
+
+def reference_sites(rng, areas):
+    """A free site of each row's jaw, one `choice` call per row."""
+    used, sites = set(), []
+    for area in areas:
+        pool = [s for s in (MAXILLARY if area == 1.0 else MANDIBULAR) if s not in used]
+        site = float(pool[rng.choice(len(pool))])
+        used.add(site)
+        sites.append(site)
+    return sites
+
+
+def reference_patient(rng, age1, gender, ninsert1):
+    return {
+        "AGE1": age1, "GENDER": gender, "NINSERT1": ninsert1,
+        "AGE": float(rng.integers(21, 41) if age1 == 1.0 else rng.integers(12, 21)),
+        "NINSERT": float(rng.integers(21, 46) if ninsert1 == 1.0 else rng.integers(1, 21)),
+    }
+
+
+def reference_screw(rng, row, length1=None):
+    if length1 is None:
+        length1 = reference_draw(rng, ((0.0, 0.4), (1.0, 0.6)))
+    long_law, short_law = ((8.0, 0.5), (10.0, 0.35), (12.0, 0.15)), ((6.0, 0.4), (7.0, 0.6))
+    row["LENGTH"] = reference_draw(rng, long_law if length1 == 1.0 else short_law)
+    row["LENGTH1"] = length1
+    # drawn even when DIAMETER is set, which keeps the stream position
+    row.setdefault("DIAMETER", reference_draw(rng, ((1.6, 0.85), (1.8, 0.15))))
+
+
+def reference_paper_dataset(cluster_rows):
+    """Rows sorted by site in each cluster; a site's position is its rank
+    among the sites seen anywhere in the dataset."""
+    observed = sorted({row["AREA2"] for _, rows in cluster_rows for row in rows})
+    rank = {v: i + 1 for i, v in enumerate(observed)}
+    flat = [r for _, rows in cluster_rows for r in sorted(rows, key=lambda r: r["AREA2"])]
+    return ClusteredDataset(
+        [cid for cid, _ in cluster_rows], [len(rows) for _, rows in cluster_rows],
+        [rank[r["AREA2"]] for r in flat], [r["LOOSENING"] for r in flat],
+        {name: [r[name] for r in flat] for name in simulate.PAPER_VARIABLES},
+        "ID", "LOOSENING", "AREA2")
+
+
+def reference_generate_paper(n_clusters, alpha, seed):
+    """`generate_paper` one row dict and one draw at a time, as it first was."""
+    base = generate(paper_profile(n_clusters, alpha, seed))
+    rng = np.random.default_rng([seed, 17])
+    col = {name: values.tolist() for name, values in base.columns.items()}
+    response = base.response.tolist()
+    cluster_rows = []
+    for cid, a, m in zip(base.ids, base.starts.tolist(), base.sizes.tolist()):
+        patient = reference_patient(rng, col["AGE1"][a], col["GENDER"][a], col["NINSERT1"][a])
+        sites = reference_sites(rng, col["AREA1"][a:a + m])
+        rows = []
+        for j, site in zip(range(a, a + m), sites):
+            row = dict(patient, LOOSENING=response[j], AREA1=col["AREA1"][j], AREA2=site,
+                       DIAMETER=col["DIAMETER"][j])
+            reference_screw(rng, row, length1=col["LENGTH1"][j])
+            rows.append(row)
+        cluster_rows.append((cid, rows))
+    return reference_paper_dataset(cluster_rows)
+
+
+def reference_build_paper_marginals(seed):
+    """`build_paper_marginals` one row dict and one draw at a time."""
+    rng = np.random.default_rng(seed)
+    composition = (
+        [(1, 1)] * 19 + [(1, 0)] * 12 + [(2, 2)] * 4 + [(2, 1)] * 15 + [(2, 0)] * 48
+        + [(3, 1)] * 17 + [(4, 2)] * 4 + [(4, 1)] * 2 + [(4, 0)] * 8 + [(5, 0)] * 3
+        + [(6, 0)] * 3
+    )
+    composition = [composition[i] for i in rng.permutation(len(composition))]
+    area_fail = [1.0] * 42 + [0.0] * 27
+    area_ok = [1.0] * 184 + [0.0] * 52
+    area_fail = [area_fail[i] for i in rng.permutation(len(area_fail))]
+    area_ok = [area_ok[i] for i in rng.permutation(len(area_ok))]
+    cluster_rows = []
+    for cid, (size, n_fail) in enumerate(composition, start=1):
+        outcomes = [1.0] * n_fail + [0.0] * (size - n_fail)
+        outcomes = [outcomes[i] for i in rng.permutation(size)]
+        areas = [(area_fail if y == 1.0 else area_ok).pop() for y in outcomes]
+        sites = reference_sites(rng, areas)
+        age1 = reference_draw(rng, ((0.0, 0.45), (1.0, 0.55)))
+        gender = reference_draw(rng, ((0.0, 0.55), (1.0, 0.45)))
+        ninsert1 = float(rng.choice([0.0, 1.0]))
+        patient = reference_patient(rng, age1, gender, ninsert1)
+        rows = []
+        for y, area, site in zip(outcomes, areas, sites):
+            row = dict(patient, LOOSENING=y, AREA1=area, AREA2=site)
+            reference_screw(rng, row)
+            rows.append(row)
+        cluster_rows.append((str(cid), rows))
+    return reference_paper_dataset(cluster_rows)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_clusters=st.integers(1, 60),
+    alpha=st.sampled_from([0.0, 0.1, 0.25, 0.3]),
+)
+def test_generate_paper_matches_per_row_reference(seed, n_clusters, alpha,
+                                                  tmp_path_factory):
+    tmp_path = tmp_path_factory.mktemp("paper")
+    assert csv_bytes(generate_paper(n_clusters, alpha, seed), tmp_path, "new.csv") == \
+        csv_bytes(reference_generate_paper(n_clusters, alpha, seed), tmp_path, "ref.csv")
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_paper_marginals_match_per_row_reference(seed, tmp_path_factory):
+    tmp_path = tmp_path_factory.mktemp("marginals")
+    assert csv_bytes(build_paper_marginals(seed), tmp_path, "new.csv") == \
+        csv_bytes(reference_build_paper_marginals(seed), tmp_path, "ref.csv")
+
+
 # ----------------------------------------------------------------- validation
 
 def test_profile_probabilities_must_sum_to_one():
