@@ -114,6 +114,14 @@ def test_fit_json_round_trip(paper_csv, capsys):
     assert render_fit_text(payload) == text
 
 
+def test_fit_fixed_singular_matrix_names_the_cause(paper_csv, tmp_path, capsys):
+    size = load_csv(paper_csv, "ID", "LOOSENING", "AREA2").max_position
+    matrix = tmp_path / "ones.csv"
+    np.savetxt(matrix, np.ones((size, size)), delimiter=",")
+    assert main(fit_args(paper_csv, "--corr", "fixed", "--corr-file", str(matrix))) == 3
+    assert "fixed working correlation is not positive definite" in capsys.readouterr().err
+
+
 def test_fit_fixed_identity_matches_independent(paper_csv, tmp_path, capsys):
     size = load_csv(paper_csv, "ID", "LOOSENING", "AREA2").max_position
     matrix = tmp_path / "identity.csv"

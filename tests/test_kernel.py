@@ -193,35 +193,6 @@ def _permuted(ds, order):
                             ds.cluster_col, ds.response_col, ds.within_col)
 
 
-def _boundary_dataset(seed):
-    """Twins at occasions (1, 2), free pairs at (1, 3) or (2, 3), singletons.
-
-    A twin cluster repeats one row at occasions 1 and 2, so under a working
-    correlation of 1 between those occasions its covariance is singular
-    along a direction that its design rows and residuals do not enter.
-    """
-    rng = np.random.default_rng(seed)
-    sizes, positions, response, x = [], [], [], []
-    for i in range(90):
-        xs = rng.standard_normal(2)
-        ys = (rng.uniform(size=2) < 1.0 / (1.0 + np.exp(-xs))).astype(float)
-        if i < 30:
-            rows = [(q, float(ys[0]), float(xs[0])) for q in (1, 2)]
-        elif i < 70:
-            first = 1 + i % 2
-            rows = [(q, float(ys[j]), float(xs[j])) for j, q in enumerate((first, 3))]
-        else:
-            rows = [(3, float(ys[0]), float(xs[0]))]
-        sizes.append(len(rows))
-        for q, y, value in rows:
-            positions.append(q)
-            response.append(y)
-            x.append(value)
-    ds = ClusteredDataset([str(i + 1) for i in range(90)], sizes, positions, response,
-                          {"x": x})
-    return ds, build_design(ds, [TermCoding("x", "covariate")])
-
-
 # ------------------------------------------------------------------ tests
 
 def test_gapped_data_has_many_size_groups(gapped):
@@ -277,9 +248,11 @@ def test_segment_moments_match_per_cluster_reference(cs, subtract_p):
     assert np.max(np.abs(_parameters(new) - _parameters(ref))) <= 1e-12
 
 
-def test_boundary_correlation_falls_back_to_per_cluster_jitter(monkeypatch):
-    ds, x = _boundary_dataset(seed=3)
-    cs = Fixed([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])  # PD after jitter
+def test_boundary_block_falls_back_to_per_cluster_jitter(monkeypatch):
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((5, 3, 3))
+    v = a @ a.transpose(0, 2, 1) + np.eye(3)
+    v[2] = [[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]  # PD after jitter
     calls = []
 
     def counting(m):
@@ -287,10 +260,16 @@ def test_boundary_correlation_falls_back_to_per_cluster_jitter(monkeypatch):
         return spd_factor(m)
 
     monkeypatch.setattr(gee, "spd_factor", counting)
-    fit = fit_gee(x, ds, BINOMIAL, cs)
-    assert calls.count((2, 2)) >= 70           # the size-2 group went per cluster
+    lower = gee._factor_stack(v)
+    assert calls == [(3, 3)] * 5                # the whole stack went per cluster
     monkeypatch.undo()
-    assert_same_fit(fit, reference_fit(x, ds, BINOMIAL, cs))
+    assert np.array_equal(lower, np.stack([spd_factor(m).lower for m in v]))
+
+
+def test_fixed_rejects_singular_matrix():
+    with pytest.raises(NotPositiveDefinite,
+                       match="fixed working correlation is not positive definite"):
+        Fixed([[1.0, 1.0], [1.0, 1.0]])
 
 
 def test_unrescuable_working_correlation_raises():

@@ -7,8 +7,10 @@ import geeclust.select
 from geeclust import (
     AR1,
     Candidate,
+    ClusteredDataset,
     Exchangeable,
     Family,
+    GeeOptions,
     Independent,
     MDependent,
     SelectionReport,
@@ -224,15 +226,17 @@ def test_domain_error_candidate_recorded_as_failed():
 def reference_fit_candidate(ds, f, terms, subset, structure):
     """Code the subset and fit the candidate from scratch on every visit."""
     chosen = [t for t in terms if t.name in subset]
+    p = len(subset) + 1                          # until the subset is coded
     try:
         sub_ds, _ = complete_cases(ds, [t.name for t in chosen])
         x = build_design(sub_ds, chosen)
+        p = x.p
         fit = fit_gee(x, sub_ds, f, structure)
-        return Candidate(structure.kind, tuple(subset), x.p, qic(fit, x, sub_ds, f),
-                         qic_u(fit, x.p), True)
+        return Candidate(structure.kind, tuple(subset), p, qic(fit, x, sub_ds, f),
+                         qic_u(fit, p), True)
     except (NoConvergence, RankDeficient, NotPositiveDefinite,
             PerfectSeparation, ConstantFactor, DomainError) as exc:
-        return Candidate(structure.kind, tuple(subset), len(subset) + 1, float("nan"),
+        return Candidate(structure.kind, tuple(subset), p, float("nan"),
                          float("nan"), False, f"{type(exc).__name__}: {exc}")
 
 
@@ -371,3 +375,21 @@ def test_repeated_failure_keeps_its_reason(ragged_ds):
     assert len(failed) == 2 * len({c.covariates for c in failed})
     assert all(c.failure.startswith("ConstantFactor: factor 'CONST'") for c in failed)
     assert all(c.failure is None for c in report.candidates if c.converged)
+
+
+def test_failed_fit_reports_the_coded_parameter_count():
+    rng = np.random.default_rng(8)
+    n = 180
+    ds = ClusteredDataset([str(i) for i in range(60)], [3] * 60, [1, 2, 3] * 60,
+                          (rng.random(n) < 0.4).astype(float),
+                          {"F": rng.integers(0, 3, n).astype(float),
+                           "C": np.zeros(n)})
+    evaluate = geeclust.select._Evaluator(
+        ds, BINOMIAL, terms_named("F", "C"), GeeOptions(max_iter=1))
+    failed, converged = evaluate(("F",), Exchangeable()), evaluate(("F",), Independent())
+    assert (failed.converged, converged.converged) == (False, True)
+    assert failed.failure.startswith("NoConvergence")
+    assert failed.p == converged.p == 3          # intercept and two contrasts
+    uncoded = evaluate(("C", "F"), Independent())
+    assert uncoded.failure.startswith("ConstantFactor")
+    assert uncoded.p == 3                        # no coding: one per covariate

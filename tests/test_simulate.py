@@ -330,6 +330,17 @@ def test_profile_rejects_undrawable_settings(make):
         make()
 
 
+@pytest.mark.parametrize("n_clusters", [0, -3])
+def test_generate_paper_rejects_fewer_than_one_cluster(n_clusters):
+    with pytest.raises(ValueError, match=f"got {n_clusters}"):
+        generate_paper(n_clusters, 0.3, 1)
+
+
+def test_generate_allows_zero_clusters():
+    ds = generate(SimProfile(n_clusters=0))
+    assert (ds.n_clusters, ds.n_total) == (0, 0)
+
+
 def test_profile_alpha_range():
     with pytest.raises(ValueError):
         SimProfile(alpha=1.0)
