@@ -45,7 +45,7 @@ from .errors import (
     SizeExceedsTemplate,
     UnderdeterminedLag,
 )
-from .linalg import spd_factor, spd_inverse, spd_solve
+from .linalg import SYMMETRY_RTOL, spd_factor, spd_inverse, spd_solve
 
 ALPHA_CLAMP = 0.99
 
@@ -273,7 +273,16 @@ class Fixed:
             raise ValueError("fixed correlation must be square")
         if np.max(np.abs(np.diag(m) - 1.0)) > 1e-12:
             raise ValueError("fixed correlation diagonal must be 1")
-        spd_factor(m)
+        if not np.all(np.isfinite(m)):
+            raise ValueError("fixed correlation has non-finite entries")
+        # no jitter retry: a singular matrix is the user's, not round-off
+        if np.max(np.abs(m - m.T)) > SYMMETRY_RTOL:
+            raise NotPositiveDefinite("fixed working correlation is not symmetric")
+        try:
+            np.linalg.cholesky(m)
+        except np.linalg.LinAlgError:
+            raise NotPositiveDefinite(
+                "fixed working correlation is not positive definite") from None
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 

@@ -161,15 +161,17 @@ class _Evaluator:
         return design
 
     def _fit(self, subset, structure) -> Candidate:
+        p = len(subset) + 1                      # until the subset is coded
         try:
             sub_ds, x = self._design(subset)
+            p = x.p
             fit = fit_gee(x, sub_ds, self.f, structure, self.options)
             return Candidate(
                 structure=structure.kind,
                 covariates=subset,
-                p=x.p,
+                p=p,
                 qic=qic(fit, x, sub_ds, self.f),
-                qic_u=qic_u(fit, x.p),
+                qic_u=qic_u(fit, p),
                 converged=True,
             )
         except _FIT_FAILURES as exc:
@@ -177,7 +179,7 @@ class _Evaluator:
             return Candidate(
                 structure=structure.kind,
                 covariates=subset,
-                p=len(subset) + 1,
+                p=p,
                 qic=float("nan"),
                 qic_u=float("nan"),
                 converged=False,
