@@ -1,6 +1,6 @@
 """Clustered binary-data generation.
 
-Two entry points:
+Three entry points:
 
 * :func:`generate` draws datasets from a configurable profile.  Rows get
   marginal event probabilities straight from a linear predictor, and
@@ -30,12 +30,28 @@ Two entry points:
   (``ndtri``, the value ``stats.norm.ppf`` returns) and the latent
   correlation then run on whole arrays.
 
+* :func:`generate_paper` draws a :func:`paper_profile` dataset with
+  `generate`, then back-fills raw columns from ``default_rng([seed, 17])``
+  with exactly two calls per cluster of m rows:
+
+  1. ``rng.integers(lows, highs)``: AGE, NINSERT, then one site pick per
+     row, below 6 minus the row's count of earlier rows on its jaw.  A row
+     with pick d takes the d-th still-free site of its jaw, counting up.
+  2. ``rng.random(2 * m)``, two per row: the first picks LENGTH, the second
+     (once a DIAMETER draw) is drawn and not used.
+
 * :func:`build_paper_marginals` deterministically reconstructs the
   miniscrew-stability example used throughout the docs: 305 rows over 135
   patient clusters with the jaw-by-loosening joint counts (maxilla 42
   failed / 184 held, mandible 27 failed / 52 held), the published
   cluster-size histogram, and the published within-patient concordance
-  split.  The 305-row total is the sum of the 2x2 margins.
+  split.  The 305-row total is the sum of the 2x2 margins.  It permutes
+  the patients, then the loosened and the held jaw labels.  Per patient of
+  m rows, in order: ``rng.permutation(m)`` of the outcomes (it decides
+  which jaw labels the rows take, so patients are drawn one by one),
+  ``rng.integers`` for the m site picks, ``rng.random(2)`` for AGE1 and
+  GENDER, ``rng.integers(0, 2)`` for NINSERT1, ``rng.integers`` for AGE
+  and NINSERT, and ``rng.random(3 * m)``: LENGTH1, LENGTH, DIAMETER per row.
 """
 
 import math
@@ -56,8 +72,6 @@ from .linalg import spd_factor
 TABLE_SIZES = ((1, 0.230), (2, 0.496), (3, 0.126), (4, 0.104), (5, 0.022), (6, 0.022))
 
 RHO_LIMIT = 0.9999
-MAXILLARY_SITES = (2.0, 4.0, 6.0, 8.0, 10.0, 12.0)
-MANDIBULAR_SITES = (1.0, 3.0, 5.0, 7.0, 9.0, 11.0)
 
 
 def _check_probabilities(what, pairs):
@@ -217,8 +231,8 @@ def _categorical(pairs):
     """Values and cumulative probabilities of (value, probability) pairs.
 
     The cdf is normalised as `Generator.choice(values, p=probs)` normalises
-    it, so `_draw` and a `searchsorted` over it pick what `choice` picks from
-    the same uniform.
+    it, so a `bisect_right` or `searchsorted` over it picks what `choice`
+    picks from the same uniform.
     """
     values = [v for v, _ in pairs]
     cdf = np.cumsum([p for _, p in pairs], dtype=float)
@@ -226,10 +240,10 @@ def _categorical(pairs):
     return values, cdf.tolist()
 
 
-def _draw(rng, categorical):
-    """One value from `_categorical` output, using one `rng.random()`."""
-    values, cdf = categorical
-    return values[bisect_right(cdf, rng.random())]
+def _levels(pairs, u):
+    """The values of (value, probability) pairs that the uniforms `u` pick."""
+    values, cdf = _categorical(pairs)
+    return np.asarray(values, dtype=float)[np.searchsorted(cdf, u, side="right")]
 
 
 def _spec_values(spec: CovariateSpec, u):
@@ -238,8 +252,7 @@ def _spec_values(spec: CovariateSpec, u):
         _, low, high = spec.levels
         low, high = float(low), float(high)
         return low + (high - low) * u
-    values, cdf = _categorical(spec.levels)
-    return np.asarray(values, dtype=float)[np.searchsorted(cdf, u, side="right")]
+    return _levels(spec.levels, u)
 
 
 def _latent_noise(noise, margins, sizes, starts, alpha):
@@ -272,14 +285,14 @@ def generate(profile: SimProfile) -> ClusteredDataset:
     docstring; everything after the draws runs on whole arrays.
     """
     rng = np.random.default_rng(profile.seed)
-    size_law = _categorical(profile.size_distribution)
+    size_values, size_cdf = _categorical(profile.size_distribution)
     specs = profile.covariate_specs
     n_constant = sum(1 for spec in specs if spec.cluster_constant)
     n_varying = len(specs) - n_constant
     # the empty heads keep np.concatenate valid when there are no clusters
     sizes, uniforms, noise = [], [np.empty(0)], [np.empty(0)]
     for _ in range(profile.n_clusters):
-        size = int(_draw(rng, size_law))
+        size = int(size_values[bisect_right(size_cdf, rng.random())])
         sizes.append(size)
         uniforms.append(rng.random(n_constant + n_varying * size))
         noise.append(rng.standard_normal(size))
@@ -311,14 +324,8 @@ def generate(profile: SimProfile) -> ClusteredDataset:
     if profile.alpha > 0.0:
         _latent_noise(z, margins, sizes, starts, profile.alpha)
     return ClusteredDataset(
-        ids=tuple(str(i + 1) for i in range(profile.n_clusters)),
-        sizes=sizes,
-        positions=within + 1,
-        response=(z <= ndtri(margins)).astype(float),
-        columns=columns,
-        cluster_col="ID",
-        response_col=profile.response_name,
-    )
+        tuple(str(i + 1) for i in range(profile.n_clusters)), sizes, within + 1,
+        (z <= ndtri(margins)).astype(float), columns, "ID", profile.response_name)
 
 
 # --------------------------------------------------------------------------
@@ -340,97 +347,70 @@ def paper_profile(n_clusters=135, alpha=0.3, seed=0) -> SimProfile:
         CovariateSpec("LENGTH1", "factor", ((0.0, 0.4), (1.0, 0.6)), False),
         CovariateSpec("DIAMETER", "factor", ((1.6, 0.85), (1.8, 0.15)), False),
     )
-    return SimProfile(
-        n_clusters=n_clusters,
-        size_distribution=TABLE_SIZES,
-        covariate_specs=specs,
-        intercept=-0.08,
-        coefficients={"AREA1": -0.85, "NINSERT1": -0.73, "AGE1": -0.54},
-        alpha=alpha,
-        seed=seed,
-        response_name="LOOSENING",
-    )
+    return SimProfile(n_clusters, TABLE_SIZES, specs, intercept=-0.08,
+                      coefficients={"AREA1": -0.85, "NINSERT1": -0.73, "AGE1": -0.54},
+                      alpha=alpha, seed=seed, response_name="LOOSENING")
 
 
-PAPER_VARIABLES = (
-    "AGE",
-    "GENDER",
-    "AREA1",
-    "AREA2",
-    "LENGTH",
-    "DIAMETER",
-    "NINSERT",
-    "AGE1",
-    "LENGTH1",
-    "NINSERT1",
-)
+PAPER_VARIABLES = ("AGE", "GENDER", "AREA1", "AREA2", "LENGTH", "DIAMETER", "NINSERT",
+                   "AGE1", "LENGTH1", "NINSERT1")
+
+LONG_LAW = ((8.0, 0.5), (10.0, 0.35), (12.0, 0.15))
+SHORT_LAW = ((6.0, 0.4), (7.0, 0.6))
+# [low, high) of AGE by AGE1 and of NINSERT by NINSERT1
+AGE_RANGES = np.array([[12, 21], [21, 41]])
+NINSERT_RANGES = np.array([[1, 21], [21, 46]])
+SITES_PER_JAW = 6
 
 
-def _assign_sites(rng, area_values):
-    """Implantation sites consistent with jaw side, distinct in a cluster."""
-    used = set()
-    sites = []
-    for area in area_values:
-        pool = [s for s in (MAXILLARY_SITES if area == 1.0 else MANDIBULAR_SITES)
-                if s not in used]
-        site = float(pool[rng.choice(len(pool))])
-        used.add(site)
-        sites.append(site)
-    return sites
+def _same_before(flags, sizes):
+    """Each row's count of earlier rows of its cluster with the same 0/1 flag."""
+    starts = np.cumsum(sizes) - sizes
+    ones = np.cumsum(flags) - flags
+    ones = ones - np.repeat(ones[starts], sizes)
+    within = np.arange(len(flags)) - np.repeat(starts, sizes)
+    return np.where(flags == 1, ones, within - ones).astype(int)
 
 
-def _site_positions(clusters_rows):
-    """Global occasion ranks of the site values."""
-    observed = sorted({row["AREA2"] for rows in clusters_rows for row in rows})
-    return {v: i + 1 for i, v in enumerate(observed)}
+def _lengths(length1, u):
+    """LENGTH from its uniforms: a long screw for LENGTH1 = 1, else a short one."""
+    return np.where(length1 == 1.0, _levels(LONG_LAW, u), _levels(SHORT_LAW, u))
 
 
-def _paper_dataset(cluster_rows):
-    """Assemble the miniscrew-style dataset with AREA2 as within variable.
+def _sites(area, sizes, picks):
+    """AREA2 sites: a row with pick d takes the d-th still-free site of its jaw.
 
-    `cluster_rows` lists (cluster id, row dicts); rows are ordered by site.
+    The jaws' sites interleave (mandible 1, 3, ..., 11, maxilla 2, 4, ...,
+    12), and a row of within-jaw rank r picks among the 6 - r sites that the
+    cluster's earlier rows on that jaw left free.  Rows are decoded one rank
+    at a time, all clusters together.
     """
-    rank = _site_positions([rows for _, rows in cluster_rows])
-    flat = [r for _, rows in cluster_rows
-            for r in sorted(rows, key=lambda r: rank[r["AREA2"]])]
+    ranks = _same_before(area, sizes)
+    jaw = 2 * np.repeat(np.arange(len(sizes)), sizes) + area.astype(int)
+    taken = np.zeros((2 * len(sizes), SITES_PER_JAW), dtype=bool)
+    slot = np.empty(len(area), dtype=int)
+    for rank in range(int(ranks.max()) + 1):
+        rows = np.flatnonzero(ranks == rank)
+        free = np.cumsum(~taken[jaw[rows]], axis=1)
+        slot[rows] = np.argmax(free > picks[rows, None], axis=1)
+        taken[jaw[rows], slot[rows]] = True
+    return 2.0 * slot + 1.0 + area
+
+
+def _paper_dataset(ids, sizes, response, columns):
+    """The miniscrew-style dataset with AREA2 as within variable.
+
+    `columns` maps every name in PAPER_VARIABLES to its row values in draw
+    order.  Each cluster's rows are sorted by site, and a site's position
+    is its rank among the sites present in the dataset.
+    """
+    cluster = np.repeat(np.arange(len(sizes)), sizes)
+    order = np.lexsort((columns["AREA2"], cluster))
+    _, rank = np.unique(columns["AREA2"][order], return_inverse=True)
     return ClusteredDataset(
-        ids=tuple(cid for cid, _ in cluster_rows),
-        sizes=[len(rows) for _, rows in cluster_rows],
-        positions=[rank[r["AREA2"]] for r in flat],
-        response=[r["LOOSENING"] for r in flat],
-        columns={name: np.array([r[name] for r in flat], dtype=float)
-                 for name in PAPER_VARIABLES},
-        cluster_col="ID",
-        response_col="LOOSENING",
-        within_col="AREA2",
-    )
-
-
-def _fill_patient(rng, row, age1, gender, ninsert1):
-    row["AGE1"] = age1
-    row["GENDER"] = gender
-    row["NINSERT1"] = ninsert1
-    row["AGE"] = float(rng.integers(21, 41) if age1 == 1.0 else rng.integers(12, 21))
-    row["NINSERT"] = float(
-        rng.integers(21, 46) if ninsert1 == 1.0 else rng.integers(1, 21)
-    )
-
-
-AGE1_LAW = _categorical(((0.0, 0.45), (1.0, 0.55)))
-GENDER_LAW = _categorical(((0.0, 0.55), (1.0, 0.45)))
-LENGTH1_LAW = _categorical(((0.0, 0.4), (1.0, 0.6)))
-LONG_LAW = _categorical(((8.0, 0.5), (10.0, 0.35), (12.0, 0.15)))
-SHORT_LAW = _categorical(((6.0, 0.4), (7.0, 0.6)))
-DIAMETER_LAW = _categorical(((1.6, 0.85), (1.8, 0.15)))
-
-
-def _fill_screw(rng, row, length1=None):
-    if length1 is None:
-        length1 = _draw(rng, LENGTH1_LAW)
-    row["LENGTH"] = _draw(rng, LONG_LAW if length1 == 1.0 else SHORT_LAW)
-    row["LENGTH1"] = length1
-    # drawn even when DIAMETER is set, which keeps the stream position
-    row.setdefault("DIAMETER", _draw(rng, DIAMETER_LAW))
+        tuple(ids), sizes, rank + 1, np.asarray(response)[order],
+        {name: np.asarray(columns[name], dtype=float)[order] for name in PAPER_VARIABLES},
+        cluster_col="ID", response_col="LOOSENING", within_col="AREA2")
 
 
 def build_paper_marginals(seed=0) -> ClusteredDataset:
@@ -441,47 +421,51 @@ def build_paper_marginals(seed=0) -> ClusteredDataset:
     with 1..6 screws), and the within-patient concordance split of the
     multi-screw patients (62 all held, 4 all loose, 19 skewed, 19 equal).
     The seed only shuffles which rows carry which labels, plus the
-    covariates that are free given those counts.
+    covariates that are free given those counts.  The draw order is in the
+    module docstring.
     """
+    law = {spec.name: spec.levels for spec in paper_profile().covariate_specs}
     rng = np.random.default_rng(seed)
     # (size, number of loosened screws) for every patient; the counts below
     # pin the concordance split while summing to 69 loosened / 236 held
-    composition = (
-        [(1, 1)] * 19 + [(1, 0)] * 12
-        + [(2, 2)] * 4 + [(2, 1)] * 15 + [(2, 0)] * 48
-        + [(3, 1)] * 17
-        + [(4, 2)] * 4 + [(4, 1)] * 2 + [(4, 0)] * 8
-        + [(5, 0)] * 3
-        + [(6, 0)] * 3
-    )
-    composition = [composition[i] for i in rng.permutation(len(composition))]
-
-    area_fail = [1.0] * 42 + [0.0] * 27
-    area_ok = [1.0] * 184 + [0.0] * 52
-    area_fail = [area_fail[i] for i in rng.permutation(len(area_fail))]
-    area_ok = [area_ok[i] for i in rng.permutation(len(area_ok))]
-
-    cluster_rows = []
-    for cid, (size, n_fail) in enumerate(composition, start=1):
-        outcomes = [1.0] * n_fail + [0.0] * (size - n_fail)
-        outcomes = [outcomes[i] for i in rng.permutation(size)]
-        areas = [
-            (area_fail if y == 1.0 else area_ok).pop() for y in outcomes
-        ]
-        sites = _assign_sites(rng, areas)
-        age1 = _draw(rng, AGE1_LAW)
-        gender = _draw(rng, GENDER_LAW)
-        ninsert1 = float(rng.choice([0.0, 1.0]))
-        patient = {}
-        _fill_patient(rng, patient, age1, gender, ninsert1)
-        rows = []
-        for y, area, site in zip(outcomes, areas, sites):
-            row = dict(patient)
-            row.update({"LOOSENING": y, "AREA1": area, "AREA2": site})
-            _fill_screw(rng, row)
-            rows.append(row)
-        cluster_rows.append((str(cid), rows))
-    return _paper_dataset(cluster_rows)
+    kinds = [(1, 1), (1, 0), (2, 2), (2, 1), (2, 0), (3, 1), (4, 2), (4, 1), (4, 0),
+             (5, 0), (6, 0)]
+    counts = [19, 12, 4, 15, 48, 17, 4, 2, 8, 3, 3]
+    sizes, n_fails = np.repeat(kinds, counts, axis=0)[rng.permutation(sum(counts))].T
+    # the jaw labels of the loosened and of the held screws, in the order
+    # the rows take them
+    fail_pool = np.repeat([1.0, 0.0], [42, 27])[rng.permutation(69)][::-1]
+    held_pool = np.repeat([1.0, 0.0], [184, 52])[rng.permutation(236)][::-1]
+    age1_values, age1_cdf = _categorical(law["AGE1"])
+    n_failed = n_held = 0
+    outcome, area, picks, patients, screws = ([] for _ in range(5))
+    for size, n_fail in zip(sizes.tolist(), n_fails.tolist()):
+        # the outcomes [1] * n_fail + [0] * (size - n_fail), permuted
+        fail = rng.permutation(size) < n_fail
+        jaw = np.where(fail, fail_pool[n_failed + np.cumsum(fail) - 1],
+                       held_pool[n_held + np.cumsum(~fail) - 1])
+        n_failed, n_held = n_failed + n_fail, n_held + size - n_fail
+        picks.append(rng.integers(0, SITES_PER_JAW - _same_before(jaw, [size])))
+        u = rng.random(2)
+        ninsert1 = rng.integers(0, 2)
+        age1 = int(age1_values[bisect_right(age1_cdf, u[0])])
+        bounds = np.array([AGE_RANGES[age1], NINSERT_RANGES[ninsert1]])
+        patients.append((age1, u[1], ninsert1, *rng.integers(bounds[:, 0], bounds[:, 1])))
+        screws.append(rng.random(3 * size))
+        outcome.append(fail)
+        area.append(jaw)
+    area = np.concatenate(area)
+    age1, gender_u, ninsert1, age, ninsert = np.repeat(
+        np.array(patients, dtype=float), sizes, axis=0).T
+    screws = np.concatenate(screws).reshape(-1, 3)
+    length1 = _levels(law["LENGTH1"], screws[:, 0])
+    columns = dict(
+        AGE=age, GENDER=_levels(law["GENDER"], gender_u), AREA1=area,
+        AREA2=_sites(area, sizes, np.concatenate(picks)),
+        LENGTH=_lengths(length1, screws[:, 1]), DIAMETER=_levels(law["DIAMETER"], screws[:, 2]),
+        NINSERT=ninsert, AGE1=age1, LENGTH1=length1, NINSERT1=ninsert1)
+    ids = [str(i + 1) for i in range(len(sizes))]
+    return _paper_dataset(ids, sizes, np.concatenate(outcome), columns)
 
 
 def generate_paper(n_clusters=135, alpha=0.3, seed=0) -> ClusteredDataset:
@@ -490,29 +474,32 @@ def generate_paper(n_clusters=135, alpha=0.3, seed=0) -> ClusteredDataset:
     Draws from :func:`paper_profile`, then back-fills raw columns consistent
     with each binary (AGE with AGE1, LENGTH with LENGTH1, NINSERT with
     NINSERT1) and jaw-consistent distinct AREA2 sites used as the
-    within-subject variable.
+    within-subject variable.  The draw order is in the module docstring.
     """
+    if n_clusters < 1:
+        raise ValueError(f"n_clusters must be at least 1, got {n_clusters}")
     base = generate(paper_profile(n_clusters, alpha, seed))
+    sizes, starts, col = base.sizes, base.starts, base.columns
+    # each cluster's integer bounds: AGE, NINSERT, then one site pick per row
+    heads = starts + 2 * np.arange(n_clusters)
+    pick_at = np.arange(base.n_total) + 2 * np.repeat(np.arange(1, n_clusters + 1), sizes)
+    lows = np.zeros(base.n_total + 2 * n_clusters, dtype=int)
+    highs = np.empty_like(lows)
+    lows[heads], highs[heads] = AGE_RANGES[col["AGE1"][starts].astype(int)].T
+    lows[heads + 1], highs[heads + 1] = NINSERT_RANGES[col["NINSERT1"][starts].astype(int)].T
+    highs[pick_at] = SITES_PER_JAW - _same_before(col["AREA1"], sizes)
     rng = np.random.default_rng([seed, 17])
-    col = {name: values.tolist() for name, values in base.columns.items()}
-    response = base.response.tolist()
-    cluster_rows = []
-    for cid, a, m in zip(base.ids, base.starts.tolist(), base.sizes.tolist()):
-        patient = {}
-        _fill_patient(rng, patient, col["AGE1"][a], col["GENDER"][a], col["NINSERT1"][a])
-        sites = _assign_sites(rng, col["AREA1"][a:a + m])
-        rows = []
-        for j, site in zip(range(a, a + m), sites):
-            row = dict(patient)
-            row.update(
-                {
-                    "LOOSENING": response[j],
-                    "AREA1": col["AREA1"][j],
-                    "AREA2": site,
-                    "DIAMETER": col["DIAMETER"][j],
-                }
-            )
-            _fill_screw(rng, row, length1=col["LENGTH1"][j])
-            rows.append(row)
-        cluster_rows.append((cid, rows))
-    return _paper_dataset(cluster_rows)
+    ints, uniforms = [], []
+    for head, size in zip(heads.tolist(), sizes.tolist()):
+        ints.append(rng.integers(lows[head:head + size + 2], highs[head:head + size + 2]))
+        uniforms.append(rng.random(2 * size))
+    ints = np.concatenate(ints)
+    # a row's second uniform was once a DIAMETER draw; it only keeps the stream
+    length_u = np.concatenate(uniforms)[0::2]
+    return _paper_dataset(base.ids, sizes, base.response, dict(
+        col,
+        AGE=np.repeat(ints[heads], sizes),
+        NINSERT=np.repeat(ints[heads + 1], sizes),
+        AREA2=_sites(col["AREA1"], sizes, ints[pick_at]),
+        LENGTH=_lengths(col["LENGTH1"], length_u),
+    ))

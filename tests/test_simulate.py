@@ -302,6 +302,32 @@ def test_generate_paper_matches_per_row_reference(seed, n_clusters, alpha,
         csv_bytes(reference_generate_paper(n_clusters, alpha, seed), tmp_path, "ref.csv")
 
 
+def test_generate_paper_makes_two_generator_calls_per_cluster(monkeypatch, tmp_path):
+    calls = collections.Counter()
+    make_rng = np.random.default_rng
+
+    class CountingGenerator:
+        """Counts the calls made on the back-fill stream, seeded [seed, 17]."""
+
+        def __init__(self, seed):
+            self.rng, self.back_fill = make_rng(seed), isinstance(seed, list)
+
+        def __getattr__(self, name):
+            method = getattr(self.rng, name)
+
+            def counted(*args, **kwargs):
+                if self.back_fill:
+                    calls[name] += 1
+                return method(*args, **kwargs)
+            return counted
+
+    expected = csv_bytes(generate_paper(37, 0.25, 5), tmp_path, "plain.csv")
+    monkeypatch.setattr(np.random, "default_rng", CountingGenerator)
+    counted = csv_bytes(generate_paper(37, 0.25, 5), tmp_path, "counted.csv")
+    assert counted == expected
+    assert calls == {"integers": 37, "random": 37}
+
+
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_paper_marginals_match_per_row_reference(seed, tmp_path_factory):
