@@ -324,8 +324,9 @@ def generate(profile: SimProfile) -> ClusteredDataset:
     if profile.alpha > 0.0:
         _latent_noise(z, margins, sizes, starts, profile.alpha)
     return ClusteredDataset(
-        tuple(str(i + 1) for i in range(profile.n_clusters)), sizes, within + 1,
-        (z <= ndtri(margins)).astype(float), columns, "ID", profile.response_name)
+        ids=tuple(str(i + 1) for i in range(profile.n_clusters)), sizes=sizes,
+        positions=within + 1, response=(z <= ndtri(margins)).astype(float),
+        columns=columns, cluster_col="ID", response_col=profile.response_name)
 
 
 # --------------------------------------------------------------------------
@@ -404,8 +405,7 @@ def _paper_dataset(ids, sizes, response, columns):
     order.  Each cluster's rows are sorted by site, and a site's position
     is its rank among the sites present in the dataset.
     """
-    cluster = np.repeat(np.arange(len(sizes)), sizes)
-    order = np.lexsort((columns["AREA2"], cluster))
+    order = np.lexsort((columns["AREA2"], np.repeat(np.arange(len(sizes)), sizes)))
     _, rank = np.unique(columns["AREA2"][order], return_inverse=True)
     return ClusteredDataset(
         tuple(ids), sizes, rank + 1, np.asarray(response)[order],
@@ -421,8 +421,7 @@ def build_paper_marginals(seed=0) -> ClusteredDataset:
     with 1..6 screws), and the within-patient concordance split of the
     multi-screw patients (62 all held, 4 all loose, 19 skewed, 19 equal).
     The seed only shuffles which rows carry which labels, plus the
-    covariates that are free given those counts.  The draw order is in the
-    module docstring.
+    covariates that are free given those counts.
     """
     law = {spec.name: spec.levels for spec in paper_profile().covariate_specs}
     rng = np.random.default_rng(seed)
@@ -440,7 +439,8 @@ def build_paper_marginals(seed=0) -> ClusteredDataset:
     n_failed = n_held = 0
     outcome, area, picks, patients, screws = ([] for _ in range(5))
     for size, n_fail in zip(sizes.tolist(), n_fails.tolist()):
-        # the outcomes [1] * n_fail + [0] * (size - n_fail), permuted
+        # the outcomes [1] * n_fail + [0] * (size - n_fail), permuted; the
+        # branch np.where drops still indexes inside its pool
         fail = rng.permutation(size) < n_fail
         jaw = np.where(fail, fail_pool[n_failed + np.cumsum(fail) - 1],
                        held_pool[n_held + np.cumsum(~fail) - 1])
@@ -494,7 +494,7 @@ def generate_paper(n_clusters=135, alpha=0.3, seed=0) -> ClusteredDataset:
         ints.append(rng.integers(lows[head:head + size + 2], highs[head:head + size + 2]))
         uniforms.append(rng.random(2 * size))
     ints = np.concatenate(ints)
-    # a row's second uniform was once a DIAMETER draw; it only keeps the stream
+    # each row's second uniform picks nothing, but datasets drawn so far spent it
     length_u = np.concatenate(uniforms)[0::2]
     return _paper_dataset(base.ids, sizes, base.response, dict(
         col,
