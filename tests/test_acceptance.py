@@ -345,7 +345,7 @@ def test_criterion_8_selection_sanity():
         and set(report_sw.best_model) == {"AGE1", "AREA1", "NINSERT1"}
     )
     if not shape_ok:
-        failures.append(f"stepwise shape wrong: {steps}")
+        failures.append(f"stepwise shape wrong: {phase1}")
 
     report(8, not failures, "; ".join(failures) if failures else
            f"{len(specs)} candidates, minima verified, STEP 1-4 shape reproduced")

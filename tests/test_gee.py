@@ -1,4 +1,5 @@
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from geeclust import (
     robust_se,
 )
 from geeclust.errors import (
+    DomainError,
     GeeError,
     InvalidAlpha,
     NoConvergence,
@@ -450,6 +452,23 @@ def test_gee_perfect_separation():
     x = build_design(ds, [TermCoding("x", "covariate")])
     with pytest.raises(PerfectSeparation):
         fit_gee(x, ds, BINOMIAL, Independent())
+
+
+def test_failure_counts_on_small_paper_samples():
+    """100 paper-like samples of 60 clusters: the closed-form structures fail
+    on the same samples, with the same errors, as they always have."""
+    terms = [TermCoding(t, "factor", "descending") for t in ("AGE1", "AREA1", "NINSERT1")]
+    failures = Counter()
+    for s in range(100):
+        ds = recode_response(generate_paper(60, 0.25, 1000 + s), "LOOSENING", "first")
+        x = build_design(ds, terms)
+        for cs in (Independent(), Exchangeable(), AR1()):
+            try:
+                fit_gee(x, ds, BINOMIAL, cs)
+            except GeeError as exc:
+                failures[cs.kind, type(exc)] += 1
+    assert failures == {("exchangeable", DomainError): 2, ("ar1", DomainError): 7,
+                        ("ar1", PerfectSeparation): 2}
 
 
 def test_gee_rank_deficient():

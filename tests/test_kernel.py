@@ -32,11 +32,12 @@ from geeclust import (
     recode_response,
 )
 from geeclust import gee, glm
-from geeclust.errors import NotPositiveDefinite
+from geeclust.errors import GeeError, NotPositiveDefinite
 from geeclust.linalg import spd_factor, spd_inverse, spd_solve
 
 TOL = 1e-10
 BINOMIAL = Family("binomial", "logit")
+PAPER_TERMS = [TermCoding(t, "factor", "descending") for t in ("AGE1", "AREA1", "NINSERT1")]
 
 
 # ------------------------------------------------------------- references
@@ -193,6 +194,37 @@ def _permuted(ds, order):
                             ds.cluster_col, ds.response_col, ds.within_col)
 
 
+def _duplicated(ds):
+    """Every cluster twice: the copies follow the originals under new ids."""
+    rows = np.tile(np.arange(ds.n_total), 2)
+    return ClusteredDataset(list(ds.ids) + [f"copy-{i}" for i in ds.ids],
+                            np.tile(ds.sizes, 2), ds.positions[rows], ds.response[rows],
+                            {name: values[rows] for name, values in ds.columns.items()},
+                            ds.cluster_col, ds.response_col, ds.within_col)
+
+
+def _synthetic(seed, sizes, family, gaps=(1, 4)):
+    """One normal covariate on occasions whose steps are drawn from range(*gaps).
+
+    The response follows `family`: a logistic binary, a Poisson count with a
+    log mean, or a normal with identity mean and unit variance.
+    """
+    rng = np.random.default_rng(seed)
+    sizes = np.asarray(sizes)
+    positions = np.concatenate([np.cumsum(rng.integers(*gaps, m)) for m in sizes])
+    x = rng.standard_normal(int(sizes.sum()))
+    eta = 0.3 + 0.5 * x + np.repeat(0.4 * rng.standard_normal(len(sizes)), sizes)
+    if family.distribution == "binomial":
+        y = (rng.random(len(x)) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
+    elif family.distribution == "poisson":
+        y = rng.poisson(np.exp(eta)).astype(float)
+    else:
+        y = eta + rng.standard_normal(len(x))
+    ds = ClusteredDataset([str(i) for i in range(len(sizes))], sizes, positions, y,
+                          {"x": x})
+    return ds, build_design(ds, [TermCoding("x", "covariate")])
+
+
 # ------------------------------------------------------------------ tests
 
 def test_gapped_data_has_many_size_groups(gapped):
@@ -300,3 +332,84 @@ def test_fit_is_invariant_to_cluster_order(order, index):
         "beta": base.beta, "structure": base.structure, "phi": base.phi,
         "cov_model_based": base.cov_model_based, "cov_robust": base.cov_robust,
         "iterations": base.iterations})
+
+
+# singletons and larger clusters interleaved, largest size 5
+MIXED_SIZES = np.tile([1, 3, 1, 1, 5, 2, 1, 4], 10)
+
+
+@pytest.mark.parametrize("cs", [Independent(), Exchangeable(0.3), AR1(0.4)],
+                         ids=lambda cs: cs.kind)
+def test_fixed_alpha_fit_with_singletons_matches_reference(cs):
+    ds, x = _synthetic(11, MIXED_SIZES, BINOMIAL)
+    opts = GeeOptions(update_alpha=False)
+    assert_same_fit(fit_gee(x, ds, BINOMIAL, cs, opts), reference_fit(x, ds, BINOMIAL, cs, opts))
+
+
+def test_exchangeable_at_its_negative_floor_matches_reference():
+    ds, x = _synthetic(12, MIXED_SIZES, BINOMIAL)
+    cs = Exchangeable(-1.0 / (int(ds.sizes.max()) - 1) + 1e-6)
+    opts = GeeOptions(update_alpha=False)
+    assert_same_fit(fit_gee(x, ds, BINOMIAL, cs, opts), reference_fit(x, ds, BINOMIAL, cs, opts))
+
+
+def test_negative_ar1_on_wide_gaps_matches_reference():
+    ds, x = _synthetic(13, MIXED_SIZES, BINOMIAL, gaps=(2, 5))
+    steps = np.diff(ds.positions)
+    inside = np.ones(len(steps), dtype=bool)
+    inside[ds.starts[1:] - 1] = False
+    assert steps[inside].min() >= 2
+    cs = AR1(-0.6)
+    opts = GeeOptions(update_alpha=False)
+    assert_same_fit(fit_gee(x, ds, BINOMIAL, cs, opts), reference_fit(x, ds, BINOMIAL, cs, opts))
+
+
+@pytest.mark.parametrize("family", [Family("poisson", "log"), Family("normal", "identity")],
+                         ids=lambda f: f.distribution)
+@pytest.mark.parametrize("cs", [Independent(), Exchangeable(0.3), AR1(-0.4)],
+                         ids=lambda cs: cs.kind)
+def test_other_families_match_reference(family, cs):
+    ds, x = _synthetic(14, MIXED_SIZES, family)
+    opts = GeeOptions(update_alpha=False)
+    fit = fit_gee(x, ds, family, cs, opts)
+    assert fit.phi != 1.0
+    assert_same_fit(fit, reference_fit(x, ds, family, cs, opts))
+
+
+@pytest.mark.parametrize("index", range(5), ids=lambda i: _structures(2)[i].kind)
+@settings(max_examples=4, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**16), n_clusters=st.integers(30, 90))
+def test_duplicating_every_cluster_doubles_every_sum(seed, n_clusters, index):
+    """Information, score and meat add up cluster by cluster.
+
+    With raw pair counts the moment estimates of the doubled data equal the
+    originals, so every sum doubles: beta stays, both covariances halve, the
+    QIC penalty trace(Omega_I V_R) stays and -2Q doubles.
+    """
+    ds = recode_response(generate_paper(n_clusters, 0.25, seed), "LOOSENING", "first")
+    twice = _duplicated(ds)
+    cs = _structures(ds.max_position)[index]
+    opts = GeeOptions(subtract_p=False)
+    x, x2 = build_design(ds, PAPER_TERMS), build_design(twice, PAPER_TERMS)
+    try:
+        fit = fit_gee(x, ds, BINOMIAL, cs, opts)
+    except GeeError as exc:
+        with pytest.raises(type(exc)):
+            fit_gee(x2, twice, BINOMIAL, cs, opts)
+        return
+    doubled = fit_gee(x2, twice, BINOMIAL, cs, opts)
+
+    def close(value, expected, rtol=1e-9):
+        return np.max(np.abs(value - expected)) <= rtol * np.max(np.abs(expected))
+
+    def penalty(f, x, data):
+        return np.trace(gee.independence_information(x, data, BINOMIAL, f.beta, f.phi)
+                        @ f.cov_robust)
+
+    assert doubled.iterations == fit.iterations
+    assert np.max(np.abs(doubled.beta - fit.beta)) <= TOL
+    assert close(2.0 * doubled.cov_model_based, fit.cov_model_based)
+    assert close(2.0 * doubled.cov_robust, fit.cov_robust)
+    assert close(penalty(doubled, x2, twice), penalty(fit, x, ds))
+    assert close(doubled.quasi_likelihood_independence,
+                 2.0 * fit.quasi_likelihood_independence)
