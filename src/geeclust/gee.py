@@ -16,12 +16,19 @@ the robust sandwich covariance are produced; the sandwich stays consistent
 under correlation misspecification as long as the mean model is right, so
 reported standard errors use it.
 
-Clusters are grouped by size once per fit.  Each size group is handled by
-one stacked computation: the `(G, m, m)` stack of working covariances is
-Cholesky-factored in a single batched call, `[D_i | y_i - mu_i]` is
-whitened against the stacked factors in a single solve, and the
-information, score and sandwich meat are reduced with `einsum`.  When the
-batched factorization fails for a group (a working correlation on the SPD
+Each scoring step works on the whitened rows `z = A^{-1/2} D` and
+`e = A^{-1/2} (y - mu)`, so that `D_i' V_i^{-1} D_i = z_i' R_i^{-1} z_i / phi`.
+Every structure turns them into the information and one score row per
+cluster (`cluster_sums`); the sandwich meat is the cross-product of those
+rows.  Three structures use closed-form inverses and never build a matrix
+per cluster: independence (`R_i = I`), exchangeable by Sherman-Morrison,
+`R_i^{-1} = (I - c_i J) / (1 - alpha)` with `c_i = alpha / (1 - alpha + m_i
+alpha)`, and AR-1, whose inverse on gapped occasions is tridiagonal with
+`rho_k = alpha^(t_{k+1} - t_k)` on each neighbour link (Liang & Zeger 1986).
+M-dependent, unstructured and fixed realize the `(G, m, m)` stack of `R_i`
+for each cluster size, Cholesky-factor it in one batched call, and whiten
+`[z_i | e_i]` against the stacked factors in one solve.  When the batched
+factorization fails for a group (a working correlation on the SPD
 boundary), that group's clusters are factored one at a time by
 `linalg.spd_factor`, whose jitter retry rescues boundary matrices and whose
 `NotPositiveDefinite` reports the ones it cannot.
@@ -29,6 +36,7 @@ boundary), that group's clusters are factored one at a time by
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
@@ -76,6 +84,64 @@ def _subset_template(template, positions):
     return template[index[..., :, None], index[..., None, :]]
 
 
+@dataclass
+class _ClusterLayout:
+    """Rows per cluster, the first row of each and every row's occasion."""
+
+    sizes: np.ndarray
+    starts: np.ndarray
+    positions: np.ndarray
+
+    @cached_property
+    def size_groups(self):
+        """Per cluster size m: the clusters of that size, their `(G, m)` row
+        gather and its occasions.  Built on first use, once per fit."""
+        groups = []
+        for m in np.unique(self.sizes):
+            members = np.flatnonzero(self.sizes == m)
+            rows = self.starts[members][:, None] + np.arange(m)
+            groups.append((members, rows, self.positions[rows]))
+        return groups
+
+
+def _factor_stack(r):
+    """Lower Cholesky factors of a `(G, m, m)` stack of working correlations.
+
+    Only m-dependent, unstructured and fixed structures come here, through
+    `_cholesky_sums`; independence, exchangeable (Sherman-Morrison) and AR-1
+    (tridiagonal inverse) never factor a block.  One batched factorization
+    serves the usual case.  If it fails, the clusters are factored one at a
+    time by `spd_factor`, which applies its jitter retry to boundary
+    matrices and raises NotPositiveDefinite (or ValueError for non-finite
+    entries) for the rest.
+    """
+    if np.all(np.isfinite(r)):
+        try:
+            return np.linalg.cholesky(r)
+        except np.linalg.LinAlgError:
+            pass
+    return np.stack([spd_factor(r_i).lower for r_i in r])
+
+
+def _cholesky_sums(cs, z, e, layout, phi):
+    """Information and per-cluster scores through realized, factored R_i.
+
+    The structures without a closed-form inverse share this: each size
+    group's `R_i` stack is factored in one batched call and `[z_i | e_i]` is
+    whitened against it in one solve, so `z_i' R_i^{-1} z_i = W_z' W_z`.
+    """
+    p = z.shape[1]
+    info = np.zeros((p, p))
+    g = np.empty((len(layout.sizes), p))
+    for members, rows, pos in layout.size_groups:
+        lower = _factor_stack(realize_correlation(cs, rows.shape[1], pos))
+        w = np.linalg.solve(lower, np.concatenate((z[rows], e[rows][:, :, None]), axis=2))
+        w_z, w_e = w[:, :, :p], w[:, :, p]
+        info += np.einsum("gki,gkj->ij", w_z, w_z)
+        g[members] = np.einsum("gki,gk->gi", w_z, w_e)
+    return info / phi, g / phi
+
+
 @dataclass(frozen=True)
 class Independent:
     kind = "independent"
@@ -83,6 +149,10 @@ class Independent:
 
     def realize(self, positions):
         return _identity_stack(positions)
+
+    def cluster_sums(self, z, e, layout, phi):
+        """Information z'z / phi and the per-cluster score rows z_i'e_i / phi."""
+        return z.T @ z / phi, np.add.reduceat(z * e[:, None], layout.starts) / phi
 
 
 @dataclass(frozen=True)
@@ -105,6 +175,17 @@ class Exchangeable:
         r = np.full(positions.shape + (size,), self.alpha)
         r[..., np.arange(size), np.arange(size)] = 1.0
         return r
+
+    def cluster_sums(self, z, e, layout, phi):
+        """Sherman-Morrison: R_i^{-1} = (I - c_i J) / (1 - alpha)."""
+        a = self.alpha
+        c = a / (1.0 - a + layout.sizes * a)
+        z_sum = np.add.reduceat(z, layout.starts)
+        e_sum = np.add.reduceat(e, layout.starts)
+        scale = (1.0 - a) * phi
+        info = (z.T @ z - (z_sum * c[:, None]).T @ z_sum) / scale
+        g = np.add.reduceat(z * e[:, None], layout.starts) - z_sum * (c * e_sum)[:, None]
+        return info, g / scale
 
     def estimate(self, resid, positions, sizes, phi, p, subtract_p):
         # segment sums run over the cluster offsets
@@ -153,6 +234,8 @@ class MDependent:
             r[lag == s] = self.alphas[s - 1]
         return r
 
+    cluster_sums = _cholesky_sums
+
     def estimate(self, resid, positions, sizes, phi, p, subtract_p):
         pairs = _lag_pairs(resid, positions, sizes)
         alphas = tuple(
@@ -179,6 +262,25 @@ class AR1:
 
     def realize(self, positions):
         return np.asarray(self.alpha, dtype=float) ** _lags(positions)
+
+    def cluster_sums(self, z, e, layout, phi):
+        """R^{-1} is tridiagonal: with rho_k = alpha^(t_{k+1} - t_k) on each
+        neighbour link and q = rho^2 / (1 - rho^2), its diagonal is
+        1 + q_{k-1} + q_k and its off-diagonal -rho_k / (1 - rho_k^2)."""
+        link = np.ones(len(e) - 1, dtype=bool)
+        link[layout.starts[1:] - 1] = False    # no link across clusters
+        rho = np.zeros(len(e) - 1)
+        rho[link] = self.alpha ** np.diff(layout.positions)[link]
+        q = rho**2 / (1.0 - rho**2)
+        off = -rho / (1.0 - rho**2)
+        diag = 1.0 + np.concatenate(([0.0], q)) + np.concatenate((q, [0.0]))
+        # R^{-1} [z | e], link by link
+        w = np.column_stack((z, e))
+        rw = diag[:, None] * w
+        rw[:-1] += off[:, None] * w[1:]
+        rw[1:] += off[:, None] * w[:-1]
+        p = z.shape[1]
+        return z.T @ rw[:, :p] / phi, np.add.reduceat(z * rw[:, p:], layout.starts) / phi
 
     def estimate(self, resid, positions, sizes, phi, p, subtract_p):
         pairs = _lag_pairs(resid, positions, sizes)
@@ -219,6 +321,8 @@ class Unstructured:
 
     def realize(self, positions):
         return _subset_template(self.alphas, positions)
+
+    cluster_sums = _cholesky_sums
 
     def estimate(self, resid, positions, sizes, phi, p, subtract_p):
         # occasion-indexed residual layout: products of zeros drop the
@@ -296,6 +400,8 @@ class Fixed:
 
     def realize(self, positions):
         return _subset_template(self.matrix, positions)
+
+    cluster_sums = _cholesky_sums
 
 
 # the structures in canonical listing order
@@ -475,22 +581,6 @@ class GeeFit:
         return self.structure.alpha_estimates
 
 
-def _factor_stack(v):
-    """Lower Cholesky factors of a `(G, m, m)` stack of working covariances.
-
-    One batched factorization serves the usual case.  If it fails, the
-    clusters are factored one at a time by `spd_factor`, which applies its
-    jitter retry to boundary matrices and raises NotPositiveDefinite (or
-    ValueError for non-finite entries) for the rest.
-    """
-    if np.all(np.isfinite(v)):
-        try:
-            return np.linalg.cholesky(v)
-        except np.linalg.LinAlgError:
-            pass
-    return np.stack([spd_factor(v_i).lower for v_i in v])
-
-
 def independence_information(x, ds, f, beta, phi=1.0) -> np.ndarray:
     """Information matrix under working independence, (1/phi) sum D'A^{-1}D.
 
@@ -538,11 +628,8 @@ def fit_gee(x, ds, f, cs, options: GeeOptions = None) -> GeeFit:
         raise ValueError(f"design has {n} rows but dataset has {ds.n_total}")
     if np.linalg.matrix_rank(values) < p:
         raise RankDeficient("design matrix is rank deficient")
-    sizes, starts, positions = ds.sizes, ds.starts, ds.positions
-    groups = []   # per cluster size m: (G, m) row gather and its gathered data
-    for m in np.unique(sizes):
-        rows = starts[sizes == m][:, None] + np.arange(m)
-        groups.append((rows, positions[rows], values[rows], y[rows]))
+    _check_structure(cs)
+    layout = _ClusterLayout(ds.sizes, ds.starts, ds.positions)
     fix_phi = opts.fix_phi if opts.fix_phi is not None else f.distribution == "binomial"
 
     try:
@@ -560,7 +647,7 @@ def fit_gee(x, ds, f, cs, options: GeeOptions = None) -> GeeFit:
         phi = estimate_phi(resid, n, p, fix_to_one=fix_phi)
         if opts.update_alpha and hasattr(cs, "estimate"):
             try:
-                cs = estimate_alpha(cs, resid, positions, sizes, phi, p,
+                cs = estimate_alpha(cs, resid, layout.positions, layout.sizes, phi, p,
                                     subtract_p=opts.subtract_p)
             except NoPairs:
                 warnings.warn(
@@ -569,7 +656,8 @@ def fit_gee(x, ds, f, cs, options: GeeOptions = None) -> GeeFit:
         return cs, phi
 
     def assemble(beta, cs, phi):
-        """Information M, score s and sandwich meat B, one pass per size group."""
+        """Information M, score s and sandwich meat B from the structure's
+        per-cluster score rows."""
         mu = glm.link_inverse(f, values @ beta)
         if f.distribution == "binomial":
             boundary = np.any(mu <= glm.BOUNDARY_EPS) or np.any(mu >= 1.0 - glm.BOUNDARY_EPS)
@@ -581,25 +669,10 @@ def fit_gee(x, ds, f, cs, options: GeeOptions = None) -> GeeFit:
                 "a fitted mean sits exactly on the boundary; the working "
                 "covariance is singular"
             )
-        dmu = glm.mean_derivative(f, mu)
-        info = np.zeros((p, p))
-        score = np.zeros(p)
-        meat = np.zeros((p, p))
-        for rows, pos, x_g, y_g in groups:
-            s_g = np.sqrt(a[rows])
-            r_g = realize_correlation(cs, rows.shape[1], pos)
-            v_g = phi * (s_g[:, :, None] * s_g[:, None, :]) * r_g
-            lower = _factor_stack(v_g)
-            # whiten [D_i | y_i - mu_i] by L_i, so D'V^-1 D = W_d'W_d
-            rhs = np.concatenate(
-                (dmu[rows][:, :, None] * x_g, (y_g - mu[rows])[:, :, None]), axis=2)
-            w = np.linalg.solve(lower, rhs)
-            w_d, w_r = w[:, :, :p], w[:, :, p]
-            info += np.einsum("gki,gkj->ij", w_d, w_d)
-            g = np.einsum("gki,gk->gi", w_d, w_r)
-            score += g.sum(axis=0)
-            meat += g.T @ g
-        return info, score, meat, boundary
+        root = np.sqrt(a)
+        z = (glm.mean_derivative(f, mu) / root)[:, None] * values
+        info, g = cs.cluster_sums(z, (y - mu) / root, layout, phi)
+        return info, g.sum(axis=0), g.T @ g, boundary
 
     cs_current, phi = refresh(cs, beta)
     converged = False
