@@ -179,7 +179,13 @@ class Exchangeable:
     def cluster_sums(self, z, e, layout, phi):
         """Sherman-Morrison: R_i^{-1} = (I - c_i J) / (1 - alpha)."""
         a = self.alpha
-        c = a / (1.0 - a + layout.sizes * a)
+        # 1 + (m - 1) alpha is the smallest eigenvalue of R_i when alpha < 0
+        lowest = 1.0 - a + layout.sizes * a
+        if np.any(lowest <= 0.0):
+            raise NotPositiveDefinite(
+                f"exchangeable working correlation {a} is not positive definite "
+                f"for clusters of {int(layout.sizes.max())} rows")
+        c = a / lowest
         z_sum = np.add.reduceat(z, layout.starts)
         e_sum = np.add.reduceat(e, layout.starts)
         scale = (1.0 - a) * phi

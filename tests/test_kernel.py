@@ -338,42 +338,30 @@ def test_fit_is_invariant_to_cluster_order(order, index):
 MIXED_SIZES = np.tile([1, 3, 1, 1, 5, 2, 1, 4], 10)
 
 
-@pytest.mark.parametrize("cs", [Independent(), Exchangeable(0.3), AR1(0.4)],
-                         ids=lambda cs: cs.kind)
-def test_fixed_alpha_fit_with_singletons_matches_reference(cs):
-    ds, x = _synthetic(11, MIXED_SIZES, BINOMIAL)
-    opts = GeeOptions(update_alpha=False)
-    assert_same_fit(fit_gee(x, ds, BINOMIAL, cs, opts), reference_fit(x, ds, BINOMIAL, cs, opts))
+POISSON, NORMAL = Family("poisson", "log"), Family("normal", "identity")
 
 
-def test_exchangeable_at_its_negative_floor_matches_reference():
-    ds, x = _synthetic(12, MIXED_SIZES, BINOMIAL)
-    cs = Exchangeable(-1.0 / (int(ds.sizes.max()) - 1) + 1e-6)
-    opts = GeeOptions(update_alpha=False)
-    assert_same_fit(fit_gee(x, ds, BINOMIAL, cs, opts), reference_fit(x, ds, BINOMIAL, cs, opts))
-
-
-def test_negative_ar1_on_wide_gaps_matches_reference():
-    ds, x = _synthetic(13, MIXED_SIZES, BINOMIAL, gaps=(2, 5))
-    steps = np.diff(ds.positions)
-    inside = np.ones(len(steps), dtype=bool)
-    inside[ds.starts[1:] - 1] = False
-    assert steps[inside].min() >= 2
-    cs = AR1(-0.6)
-    opts = GeeOptions(update_alpha=False)
-    assert_same_fit(fit_gee(x, ds, BINOMIAL, cs, opts), reference_fit(x, ds, BINOMIAL, cs, opts))
-
-
-@pytest.mark.parametrize("family", [Family("poisson", "log"), Family("normal", "identity")],
-                         ids=lambda f: f.distribution)
-@pytest.mark.parametrize("cs", [Independent(), Exchangeable(0.3), AR1(-0.4)],
-                         ids=lambda cs: cs.kind)
-def test_other_families_match_reference(family, cs):
-    ds, x = _synthetic(14, MIXED_SIZES, family)
+@pytest.mark.parametrize("family, cs, gaps, seed", [
+    (BINOMIAL, Independent(), (1, 4), 11),
+    (BINOMIAL, Exchangeable(0.3), (1, 4), 11),
+    (BINOMIAL, AR1(0.4), (1, 4), 11),
+    (BINOMIAL, Exchangeable(-1.0 / (MIXED_SIZES.max() - 1) + 1e-6), (1, 4), 12),  # the floor
+    (BINOMIAL, AR1(-0.6), (2, 5), 13),                  # every occasion gap 2 or more
+    *[(family, cs, (1, 4), 14) for family in (POISSON, NORMAL)
+      for cs in (Independent(), Exchangeable(0.3), AR1(-0.4))],
+], ids=lambda v: getattr(v, "distribution", None) or getattr(v, "kind", None) or str(v))
+def test_fixed_alpha_closed_forms_match_reference(family, cs, gaps, seed):
+    ds, x = _synthetic(seed, MIXED_SIZES, family, gaps)
     opts = GeeOptions(update_alpha=False)
     fit = fit_gee(x, ds, family, cs, opts)
-    assert fit.phi != 1.0
+    assert (fit.phi == 1.0) == (family is BINOMIAL)
     assert_same_fit(fit, reference_fit(x, ds, family, cs, opts))
+
+
+def test_exchangeable_beyond_its_negative_bound_raises():
+    ds, x = _synthetic(11, MIXED_SIZES, BINOMIAL)
+    with pytest.raises(NotPositiveDefinite):
+        fit_gee(x, ds, BINOMIAL, Exchangeable(-0.5), GeeOptions(update_alpha=False))
 
 
 @pytest.mark.parametrize("index", range(5), ids=lambda i: _structures(2)[i].kind)
