@@ -2,6 +2,7 @@ import csv
 import gc
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from geeclust import (
     build_paper_marginals,
     derive_threshold,
     generate,
+    generate_paper,
     load_csv,
     write_csv,
 )
@@ -120,6 +122,25 @@ def test_fit_fixed_singular_matrix_names_the_cause(paper_csv, tmp_path, capsys):
     np.savetxt(matrix, np.ones((size, size)), delimiter=",")
     assert main(fit_args(paper_csv, "--corr", "fixed", "--corr-file", str(matrix))) == 3
     assert "fixed working correlation is not positive definite" in capsys.readouterr().err
+
+
+def test_fit_names_the_cluster_whose_working_correlation_fails(tmp_path, capsys):
+    path = tmp_path / "paper60.csv"
+    write_csv(generate_paper(60, 0.25, 1000), path)
+    code = main(["fit", "--data", str(path), "--response", "LOOSENING", "--cluster", "ID",
+                 "--within", "AREA2", "--corr", "mdependent",
+                 "--factors", "AGE1,AREA1,NINSERT1"])
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert code == 3 and len(errors) == 1 and "Traceback" not in err
+    named = re.search(r"^error: mdependent working correlation \(lag correlations "
+                      r"[^)]+\) is not positive definite at cluster '([^']+)', "
+                      r"occasions (\d+(?:, \d+)*)$", errors[0])
+    assert named, errors[0]
+    ds = load_csv(path, "ID", "LOOSENING", "AREA2")
+    i = ds.ids.index(named.group(1))
+    occasions = ds.positions[ds.starts[i]:ds.starts[i] + ds.sizes[i]].tolist()
+    assert occasions == [int(o) for o in named.group(2).split(", ")]
 
 
 def test_fit_fixed_identity_matches_independent(paper_csv, tmp_path, capsys):

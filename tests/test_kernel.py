@@ -280,24 +280,6 @@ def test_segment_moments_match_per_cluster_reference(cs, subtract_p):
     assert np.max(np.abs(_parameters(new) - _parameters(ref))) <= 1e-12
 
 
-def test_boundary_block_falls_back_to_per_cluster_jitter(monkeypatch):
-    rng = np.random.default_rng(3)
-    a = rng.standard_normal((5, 3, 3))
-    v = a @ a.transpose(0, 2, 1) + np.eye(3)
-    v[2] = [[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]  # PD after jitter
-    calls = []
-
-    def counting(m):
-        calls.append(np.shape(m))
-        return spd_factor(m)
-
-    monkeypatch.setattr(gee, "spd_factor", counting)
-    lower = gee._factor_stack(v)
-    assert calls == [(3, 3)] * 5                # the whole stack went per cluster
-    monkeypatch.undo()
-    assert np.array_equal(lower, np.stack([spd_factor(m).lower for m in v]))
-
-
 def test_fixed_rejects_singular_matrix():
     with pytest.raises(NotPositiveDefinite,
                        match="fixed working correlation is not positive definite"):
@@ -310,13 +292,33 @@ def test_unrescuable_working_correlation_raises():
                           {"x": [float(j) for j in range(3)] * 8})
     x = build_design(ds, [TermCoding("x", "covariate")])
     indefinite = Unstructured(3, [[1.0, 0.9, -0.9], [0.9, 1.0, 0.9], [-0.9, 0.9, 1.0]])
-    with pytest.raises(NotPositiveDefinite):
+    with pytest.raises(NotPositiveDefinite, match=r"^unstructured working correlation "
+                       r"\(template size 3\) is not positive definite at cluster '0', "
+                       r"occasions 1, 2, 3$"):
         fit_gee(x, ds, BINOMIAL, indefinite, GeeOptions(update_alpha=False))
 
 
-def test_non_finite_working_covariance_raises():
+def test_boundary_template_is_an_error_naming_its_cluster():
+    # the block at occasions 1, 3, 4 has smallest eigenvalue 1 + 2r = -1e-12,
+    # which a jitter of 1e-10 would lift; the blocks at 1, 2, 3 and 2, 3 are PD
+    r = -0.5 - 5e-13
+    template = np.eye(4)
+    template[[0, 0, 2, 2, 3, 3], [2, 3, 0, 3, 0, 2]] = r
+    occasions = [(1, 2, 3), (2, 3), (1, 2, 3), (1, 3, 4), (2, 3), (1, 3, 4)] * 2
+    ids = [f"P{i + 1}" for i in range(len(occasions))]
+    positions = [o for cluster in occasions for o in cluster]
+    ds = ClusteredDataset(ids, [len(o) for o in occasions], positions,
+                          [float(k % 3 == 0) for k in range(len(positions))],
+                          {"x": [float(k % 5) for k in range(len(positions))]})
+    x = build_design(ds, [TermCoding("x", "covariate")])
+    with pytest.raises(NotPositiveDefinite,
+                       match=r"at cluster 'P4', occasions 1, 3, 4$"):
+        fit_gee(x, ds, BINOMIAL, Unstructured(4, template), GeeOptions(update_alpha=False))
+
+
+def test_unstructured_rejects_non_finite_template():
     with pytest.raises(ValueError, match="non-finite"):
-        gee._factor_stack(np.full((3, 2, 2), np.nan))
+        Unstructured(2, [[1.0, np.nan], [np.nan, 1.0]])
 
 
 @settings(max_examples=12, deadline=None, derandomize=True, database=None)
