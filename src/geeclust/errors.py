@@ -58,7 +58,7 @@ class DimensionMismatch(GeeError):
 
 
 class NotPositiveDefinite(GeeError):
-    """Matrix is not symmetric positive definite (even after jitter)."""
+    """Matrix is not symmetric positive definite."""
 
 
 # ------------------------------------------------------------ model fitting

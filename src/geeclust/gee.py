@@ -27,11 +27,9 @@ alpha)`, and AR-1, whose inverse on gapped occasions is tridiagonal with
 `rho_k = alpha^(t_{k+1} - t_k)` on each neighbour link (Liang & Zeger 1986).
 M-dependent, unstructured and fixed realize the `(G, m, m)` stack of `R_i`
 for each cluster size, Cholesky-factor it in one batched call, and whiten
-`[z_i | e_i]` against the stacked factors in one solve.  When the batched
-factorization fails for a group (a working correlation on the SPD
-boundary), that group's clusters are factored one at a time by
-`linalg.spd_factor`, whose jitter retry rescues boundary matrices and whose
-`NotPositiveDefinite` reports the ones it cannot.
+`[z_i | e_i]` against the stacked factors in one solve.  A stack that does
+not factor is an error naming the structure and a cluster whose working
+correlation fails; no jitter is added.
 """
 
 import warnings
@@ -86,8 +84,9 @@ def _subset_template(template, positions):
 
 @dataclass
 class _ClusterLayout:
-    """Rows per cluster, the first row of each and every row's occasion."""
+    """Ids, sizes and first rows of the clusters; every row's occasion."""
 
+    ids: tuple
     sizes: np.ndarray
     starts: np.ndarray
     positions: np.ndarray
@@ -104,23 +103,18 @@ class _ClusterLayout:
         return groups
 
 
-def _factor_stack(r):
-    """Lower Cholesky factors of a `(G, m, m)` stack of working correlations.
-
-    Only m-dependent, unstructured and fixed structures come here, through
-    `_cholesky_sums`; independence, exchangeable (Sherman-Morrison) and AR-1
-    (tridiagonal inverse) never factor a block.  One batched factorization
-    serves the usual case.  If it fails, the clusters are factored one at a
-    time by `spd_factor`, which applies its jitter retry to boundary
-    matrices and raises NotPositiveDefinite (or ValueError for non-finite
-    entries) for the rest.
-    """
-    if np.all(np.isfinite(r)):
+def _not_factored(cs, r, positions, ids):
+    """NotPositiveDefinite naming the structure and the first failing cluster."""
+    for k, r_k in enumerate(r):
         try:
-            return np.linalg.cholesky(r)
+            np.linalg.cholesky(r_k)
         except np.linalg.LinAlgError:
-            pass
-    return np.stack([spd_factor(r_i).lower for r_i in r])
+            break
+    params = (f"lag correlations {', '.join(f'{a:.6g}' for a in cs.alphas)}"
+              if isinstance(cs, MDependent) else f"template size {cs.size}")
+    return NotPositiveDefinite(
+        f"{cs.kind} working correlation ({params}) is not positive definite at "
+        f"cluster {ids[k]!r}, occasions {', '.join(map(str, positions[k].tolist()))}")
 
 
 def _cholesky_sums(cs, z, e, layout, phi):
@@ -134,7 +128,11 @@ def _cholesky_sums(cs, z, e, layout, phi):
     info = np.zeros((p, p))
     g = np.empty((len(layout.sizes), p))
     for members, rows, pos in layout.size_groups:
-        lower = _factor_stack(realize_correlation(cs, rows.shape[1], pos))
+        r = realize_correlation(cs, rows.shape[1], pos)
+        try:
+            lower = np.linalg.cholesky(r)
+        except np.linalg.LinAlgError:
+            raise _not_factored(cs, r, pos, [layout.ids[i] for i in members]) from None
         w = np.linalg.solve(lower, np.concatenate((z[rows], e[rows][:, :, None]), axis=2))
         w_z, w_e = w[:, :, :p], w[:, :, p]
         info += np.einsum("gki,gkj->ij", w_z, w_z)
@@ -311,6 +309,8 @@ class Unstructured:
             a = np.array(self.alphas, dtype=float)
         if a.shape != (self.size, self.size):
             raise ValueError(f"template must be {self.size}x{self.size}")
+        if not np.all(np.isfinite(a)):
+            raise ValueError("template has non-finite entries")
         if np.max(np.abs(a - a.T)) > 1e-12:
             raise ValueError("template must be symmetric")
         if np.max(np.abs(np.diag(a) - 1.0)) > 1e-12:
@@ -385,7 +385,6 @@ class Fixed:
             raise ValueError("fixed correlation diagonal must be 1")
         if not np.all(np.isfinite(m)):
             raise ValueError("fixed correlation has non-finite entries")
-        # no jitter retry: a singular matrix is the user's, not round-off
         if np.max(np.abs(m - m.T)) > SYMMETRY_RTOL:
             raise NotPositiveDefinite("fixed working correlation is not symmetric")
         try:
@@ -635,7 +634,7 @@ def fit_gee(x, ds, f, cs, options: GeeOptions = None) -> GeeFit:
     if np.linalg.matrix_rank(values) < p:
         raise RankDeficient("design matrix is rank deficient")
     _check_structure(cs)
-    layout = _ClusterLayout(ds.sizes, ds.starts, ds.positions)
+    layout = _ClusterLayout(ds.ids, ds.sizes, ds.starts, ds.positions)
     fix_phi = opts.fix_phi if opts.fix_phi is not None else f.distribution == "binomial"
 
     try:

@@ -1,10 +1,10 @@
 """Dense SPD kernels for the estimating-equation solver.
 
-Every matrix inverted during GEE fitting (working covariances, information
-matrices) is symmetric positive definite by construction, so Cholesky is the
-only factorization offered.  A single jitter retry (1e-10 of the mean
-diagonal) is applied before giving up, to survive correlation estimates that
-land on the SPD boundary.
+Cholesky is the only factorization offered.  `spd_factor` retries once with
+a jitter of 1e-10 of the mean diagonal before it gives up.  Three callers
+use it: the GEE information matrix (a failure there is `RankDeficient`),
+the unstructured template shrink and the simulator's latent correlation.
+Working correlations are factored in `gee` without jitter.
 """
 
 from dataclasses import dataclass
