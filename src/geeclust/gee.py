@@ -104,12 +104,9 @@ class _ClusterLayout:
 
 
 def _not_factored(cs, r, positions, ids):
-    """NotPositiveDefinite naming the structure and the first failing cluster."""
-    for k, r_k in enumerate(r):
-        try:
-            np.linalg.cholesky(r_k)
-        except np.linalg.LinAlgError:
-            break
+    """NotPositiveDefinite naming the structure and, of a size group whose
+    stack does not factor, the first cluster with the smallest eigenvalue."""
+    k = int(np.argmin(np.linalg.eigvalsh(r)[:, 0]))
     params = (f"lag correlations {', '.join(f'{a:.6g}' for a in cs.alphas)}"
               if isinstance(cs, MDependent) else f"template size {cs.size}")
     return NotPositiveDefinite(
@@ -385,6 +382,7 @@ class Fixed:
             raise ValueError("fixed correlation diagonal must be 1")
         if not np.all(np.isfinite(m)):
             raise ValueError("fixed correlation has non-finite entries")
+        # no jitter retry: a singular matrix is the user's, not round-off
         if np.max(np.abs(m - m.T)) > SYMMETRY_RTOL:
             raise NotPositiveDefinite("fixed working correlation is not symmetric")
         try:
