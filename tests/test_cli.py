@@ -9,6 +9,7 @@ import pytest
 
 from geeclust import (
     CovariateSpec,
+    Family,
     SimProfile,
     build_paper_marginals,
     derive_threshold,
@@ -259,6 +260,29 @@ def test_blank_cluster_id_is_data_error_naming_row_and_column(tmp_path, capsys):
                  "--cluster", "ID", "--factors", "AREA1:desc"])
     assert code == 3
     assert "row 4, column 'ID'" in capsys.readouterr().err
+
+
+def test_overflowing_mean_is_data_error(tmp_path, capsys, monkeypatch):
+    """The CLI fits binomial responses only, so a Poisson fit of raw counts
+    is patched in: one count of 1e300 exits 3 with one line saying the mean
+    overflowed."""
+    import geeclust.cli as cli_module
+
+    monkeypatch.setattr(cli_module, "recode_response", lambda ds, response, reference: ds)
+    monkeypatch.setattr(cli_module, "Family", lambda *args: Family("poisson", "log"))
+    rng = np.random.default_rng(3)
+    counts = rng.poisson(2.0, 30).astype(float).tolist()
+    counts[4] = 1e300
+    x = rng.standard_normal(30).tolist()
+    rows = [f"{i // 3 + 1},{x[i]!r},{counts[i]!r}" for i in range(30)]
+    path = tmp_path / "counts.csv"
+    path.write_text("ID,X,COUNT\n" + "\n".join(rows) + "\n")
+    code = main(["fit", "--data", str(path), "--response", "COUNT", "--cluster", "ID",
+                 "--covariates", "X", "--corr", "independent"])
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert code == 3 and len(errors) == 1 and "Traceback" not in err
+    assert "mean overflowed" in errors[0]
 
 
 def test_repeated_column_name_is_data_error(tmp_path, capsys):

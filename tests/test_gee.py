@@ -474,6 +474,49 @@ def test_failure_counts_on_small_paper_samples():
                         ("ar1", PerfectSeparation): 2}
 
 
+@pytest.mark.parametrize("structure", [Independent(), Exchangeable(), MDependent(1)],
+                         ids=lambda cs: cs.kind)
+def test_overflowing_poisson_mean_is_a_domain_error(structure):
+    """One count of 1e300: the mean at the IRLS start is finite, but its
+    weight is not, and the fit says the mean overflowed instead of failing
+    later as a matrix or correlation problem."""
+    rng = np.random.default_rng(3)
+    y = rng.poisson(2.0, 30).astype(float)
+    y[4] = 1e300
+    ds = dataset_from_arrays([3] * 10, rng.standard_normal(30), y)
+    x = build_design(ds, [TermCoding("x", "covariate")])
+    with pytest.raises(DomainError, match="mean overflowed"):
+        fit_gee(x, ds, Family("poisson", "log"), structure)
+
+
+def test_fit_evaluates_each_coefficient_vector_once(monkeypatch):
+    """One exchangeable fit checks the design rank once and maps each
+    coefficient vector it visits to the mean scale once: the IRLS start,
+    every step-halving candidate and every GEE iterate."""
+    import geeclust.glm as glm_module
+
+    terms = [TermCoding(t, "factor", "descending") for t in ("AGE1", "AREA1", "NINSERT1")]
+    ds = recode_response(generate_paper(135, 0.25, 7), "LOOSENING", "first")
+    x = build_design(ds, terms)
+    ranks, etas = [], []
+    matrix_rank, link_inverse = np.linalg.matrix_rank, glm_module.link_inverse
+
+    def counting_rank(*args, **kwargs):
+        ranks.append(1)
+        return matrix_rank(*args, **kwargs)
+
+    def counting_inverse(f, eta):
+        etas.append(np.asarray(eta).tobytes())
+        return link_inverse(f, eta)
+
+    monkeypatch.setattr(np.linalg, "matrix_rank", counting_rank)
+    monkeypatch.setattr(glm_module, "link_inverse", counting_inverse)
+    fit = fit_gee(x, ds, BINOMIAL, Exchangeable())
+    assert len(ranks) == 1
+    assert len(etas) > fit.iterations
+    assert len(etas) == len(set(etas))
+
+
 def test_gee_rank_deficient():
     ds = dataset_from_arrays([2, 2], [1, 1, 1, 1], [0, 1, 0, 1])
     x_bad = np.column_stack([np.ones(4), np.ones(4)])
