@@ -30,6 +30,9 @@ for each cluster size, Cholesky-factor it in one batched call, and whiten
 `[z_i | e_i]` against the stacked factors in one solve.  A stack that does
 not factor is an error naming the structure and a cluster whose working
 correlation fails; no jitter is added.
+
+`fit_gee` leaves the design-rank check to `glm.irls_fit`, and it evaluates
+the mean, its variance and the whitened residuals once per iterate.
 """
 
 import warnings
@@ -629,24 +632,24 @@ def fit_gee(x, ds, f, cs, options: GeeOptions = None) -> GeeFit:
     n, p = values.shape
     if n != ds.n_total:
         raise ValueError(f"design has {n} rows but dataset has {ds.n_total}")
-    if np.linalg.matrix_rank(values) < p:
-        raise RankDeficient("design matrix is rank deficient")
     _check_structure(cs)
     layout = _ClusterLayout(ds.ids, ds.sizes, ds.starts, ds.positions)
     fix_phi = opts.fix_phi if opts.fix_phi is not None else f.distribution == "binomial"
 
     try:
-        beta = glm.irls_fit(values, y, f).beta.copy()
+        start = glm.irls_fit(values, y, f)
     except NoConvergence as exc:
-        beta = exc.fit.beta.copy()
+        start = exc.fit
 
-    def moments(beta):
-        mu = glm.link_inverse(f, values @ beta)
-        resid = (y - mu) / np.sqrt(glm.variance_fn(f, mu))
-        return mu, resid
+    def at_mean(mu):
+        """The mean, the row scale of z = A^{-1/2} D (d mu / d eta over
+        sqrt V; the canonical link's d mu / d eta is V) and the Pearson
+        residuals e = (y - mu) / sqrt V."""
+        a = glm.variance_fn(f, mu)
+        root = np.sqrt(a)
+        return mu, a / root, (y - mu) / root
 
-    def refresh(cs, beta):
-        mu, resid = moments(beta)
+    def refresh(cs, resid):
         phi = estimate_phi(resid, n, p, fix_to_one=fix_phi)
         if opts.update_alpha and hasattr(cs, "estimate"):
             try:
@@ -658,30 +661,21 @@ def fit_gee(x, ds, f, cs, options: GeeOptions = None) -> GeeFit:
                     UnderdeterminedLag, stacklevel=2)
         return cs, phi
 
-    def assemble(beta, cs, phi):
+    def assemble(mu, z_scale, resid, cs, phi):
         """Information M, score s and sandwich meat B from the structure's
         per-cluster score rows."""
-        mu = glm.link_inverse(f, values @ beta)
-        if f.distribution == "binomial":
-            boundary = np.any(mu <= glm.BOUNDARY_EPS) or np.any(mu >= 1.0 - glm.BOUNDARY_EPS)
-        else:
-            boundary = False
-        a = glm.variance_fn(f, mu)
-        if np.any(a == 0.0):
-            raise PerfectSeparation(
-                "a fitted mean sits exactly on the boundary; the working "
-                "covariance is singular"
-            )
-        root = np.sqrt(a)
-        z = (glm.mean_derivative(f, mu) / root)[:, None] * values
-        info, g = cs.cluster_sums(z, (y - mu) / root, layout, phi)
+        boundary = f.distribution == "binomial" and bool(
+            (mu <= glm.BOUNDARY_EPS).any() or (mu >= 1.0 - glm.BOUNDARY_EPS).any())
+        info, g = cs.cluster_sums(z_scale[:, None] * values, resid, layout, phi)
         return info, g.sum(axis=0), g.T @ g, boundary
 
-    cs_current, phi = refresh(cs, beta)
+    beta = start.beta.copy()
+    mu, z_scale, resid = at_mean(start.mu)
+    cs_current, phi = refresh(cs, resid)
     converged = False
     iterations = 0
     for iterations in range(1, opts.max_iter + 1):
-        info, score, _, boundary = assemble(beta, cs_current, phi)
+        info, score, _, boundary = assemble(mu, z_scale, resid, cs_current, phi)
         try:
             delta = spd_solve(spd_factor(info), score)
         except NotPositiveDefinite:
@@ -692,12 +686,13 @@ def fit_gee(x, ds, f, cs, options: GeeOptions = None) -> GeeFit:
             raise PerfectSeparation(
                 "fitted probabilities pinned at 0/1 before the step converged"
             )
-        cs_current, phi = refresh(cs_current, beta)
+        mu, z_scale, resid = at_mean(glm.link_inverse(f, values @ beta))
+        cs_current, phi = refresh(cs_current, resid)
         if step < opts.tol:
             converged = True
             break
 
-    info, _, meat, _ = assemble(beta, cs_current, phi)
+    info, _, meat, _ = assemble(mu, z_scale, resid, cs_current, phi)
     minv = spd_inverse(spd_factor(info))
     cov_robust = minv @ meat @ minv
     cov_robust = (cov_robust + cov_robust.T) / 2.0
@@ -707,7 +702,7 @@ def fit_gee(x, ds, f, cs, options: GeeOptions = None) -> GeeFit:
         phi=phi,
         cov_model_based=minv,
         cov_robust=cov_robust,
-        quasi_likelihood_independence=glm.quasi_likelihood(values, beta, y, f),
+        quasi_likelihood_independence=glm._quasi_likelihood(mu, y, f),
         iterations=iterations,
         converged=converged,
         column_labels=labels,

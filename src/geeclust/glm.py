@@ -4,6 +4,9 @@ Supports the three distribution/link pairs the clustered-outcome workflow
 needs: normal/identity, binomial/logit, and poisson/log.  The IRLS fit both
 stands on its own (it solves the independence score equation) and supplies
 starting values plus the independence quasi-likelihood used by QIC.
+
+`irls_fit` checks the design rank once per fit and maps each coefficient
+vector it visits to the mean once; the GEE start reuses that mean.
 """
 
 from dataclasses import dataclass
@@ -44,10 +47,10 @@ class Family:
 def _check_mean_space(f: Family, mu):
     mu = np.asarray(mu, dtype=float)
     if f.distribution == "binomial":
-        if np.any(mu <= 0.0) or np.any(mu >= 1.0):
+        if (mu <= 0.0).any() or (mu >= 1.0).any():
             raise DomainError("binomial mean must lie strictly in (0, 1)")
     elif f.distribution == "poisson":
-        if np.any(mu <= 0.0):
+        if (mu <= 0.0).any():
             raise DomainError("poisson mean must be positive")
     return mu
 
@@ -102,30 +105,31 @@ def quasi_likelihood(x, beta, y, f: Family) -> float:
     (0*ln 0 evaluates to 0), so the saturated-fit limit returns 0 for
     binomial data.
     """
-    values = getattr(x, "values", x)
-    values = np.asarray(values, dtype=float)
-    y = np.asarray(y, dtype=float)
+    values = np.asarray(getattr(x, "values", x), dtype=float)
     mu = link_inverse(f, values @ np.asarray(beta, dtype=float))
+    return _quasi_likelihood(mu, np.asarray(y, dtype=float), f)
+
+
+def _quasi_likelihood(mu, y, f: Family) -> float:
+    """`quasi_likelihood` at a mean from `link_inverse`, which lies in
+    [0, 1] (binomial) or [0, inf] (poisson), so it needs no domain check."""
     if f.distribution == "binomial":
-        if np.any(mu < 0.0) or np.any(mu > 1.0):
-            raise DomainError("binomial mean outside [0, 1]")
-        return float(np.sum(xlogy(y, mu) + xlogy(1.0 - y, 1.0 - mu)))
+        return float((xlogy(y, mu) + xlogy(1.0 - y, 1.0 - mu)).sum())
     if f.distribution == "poisson":
-        if np.any(mu < 0.0):
-            raise DomainError("poisson mean negative")
-        return float(np.sum(xlogy(y, mu) - mu))
-    return float(-0.5 * np.sum((y - mu) ** 2))
+        return float((xlogy(y, mu) - mu).sum())
+    return float(-0.5 * ((y - mu) ** 2).sum())
 
 
 @dataclass(frozen=True)
 class IrlsFit:
-    """Independence-model fit: coefficients plus convergence record."""
+    """Independence-model fit: coefficients, fitted mean, convergence record."""
 
     beta: np.ndarray
     iterations: int
     converged: bool
     objective: float
     objective_path: tuple
+    mu: np.ndarray
 
 
 def _start_beta(y, f: Family, p: int) -> np.ndarray:
@@ -157,8 +161,8 @@ def irls_fit(x, y, f: Family, tol: float = 1e-10, max_iter: int = 100) -> IrlsFi
     Returns
     -------
     IrlsFit
-        Coefficients solving sum x_i (y_i - mu_i) = 0 within `tol`,
-        with the per-iteration quasi-likelihood path.
+        Coefficients solving sum x_i (y_i - mu_i) = 0 within `tol`, the
+        mean at them and the per-iteration quasi-likelihood path.
     """
     values = np.asarray(getattr(x, "values", x), dtype=float)
     y = np.asarray(y, dtype=float)
@@ -168,27 +172,26 @@ def irls_fit(x, y, f: Family, tol: float = 1e-10, max_iter: int = 100) -> IrlsFi
     if np.linalg.matrix_rank(values) < p:
         raise RankDeficient("design matrix is rank deficient")
 
-    def objective(beta):
-        return quasi_likelihood(values, beta, y, f)
-
     beta = _start_beta(y, f, p)
-    q = objective(beta)
+    mu = link_inverse(f, values @ beta)
+    q = _quasi_likelihood(mu, y, f)
     path = [q]
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        mu = link_inverse(f, values @ beta)
         score = values.T @ (y - mu)
-        score_norm = float(np.max(np.abs(score)))
-        at_boundary = f.distribution == "binomial" and bool(
-            np.any(mu <= BOUNDARY_EPS) | np.any(mu >= 1.0 - BOUNDARY_EPS)
-        )
-        if score_norm < tol:
-            return IrlsFit(beta, iterations - 1, True, q, tuple(path))
-        if at_boundary:
+        if float(np.abs(score).max()) < tol:
+            return IrlsFit(beta, iterations - 1, True, q, tuple(path), mu)
+        if f.distribution == "binomial" and (
+                (mu <= BOUNDARY_EPS).any() or (mu >= 1.0 - BOUNDARY_EPS).any()):
             raise PerfectSeparation(
                 "fitted probabilities pinned at 0/1 before the score converged"
             )
-        w = mean_derivative(f, mu) ** 2 / variance_fn(f, mu)
+        # the canonical link's d mu / d eta is V(mu): the weight is d^2 / V
+        var = variance_fn(f, mu)
+        w = var**2 / var
+        if not np.isfinite(w).all():
+            raise DomainError(f"{f.distribution} mean overflowed: the largest fitted "
+                              f"mean, {mu.max():.6g}, gives a non-finite IRLS weight")
         info = values.T @ (values * w[:, None])
         try:
             delta = np.linalg.solve(info, score)
@@ -199,17 +202,16 @@ def irls_fit(x, y, f: Family, tol: float = 1e-10, max_iter: int = 100) -> IrlsFi
         step = 1.0
         for _ in range(10):
             candidate = beta + step * delta
-            try:
-                q_new = objective(candidate)
-            except DomainError:
-                q_new = -np.inf
+            mu_new = link_inverse(f, values @ candidate)
+            q_new = _quasi_likelihood(mu_new, y, f)
             if q_new >= q - 1e-12:
-                beta, q = candidate, q_new
+                beta, mu, q = candidate, mu_new, q_new
                 break
             step /= 2.0
         else:
             beta = beta + step * delta
-            q = objective(beta)
+            mu = link_inverse(f, values @ beta)
+            q = _quasi_likelihood(mu, y, f)
         path.append(q)
-    partial = IrlsFit(beta, iterations, False, q, tuple(path))
+    partial = IrlsFit(beta, iterations, False, q, tuple(path), mu)
     raise NoConvergence(f"IRLS did not converge in {max_iter} iterations", fit=partial)
