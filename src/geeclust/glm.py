@@ -200,18 +200,14 @@ def irls_fit(x, y, f: Family, tol: float = 1e-10, max_iter: int = 100) -> IrlsFi
         # step-halve until the quasi-likelihood stops decreasing; after ten
         # failed halvings take the last, shortest step anyway
         step = 1.0
-        for _ in range(10):
+        for halvings in range(11):
             candidate = beta + step * delta
             mu_new = link_inverse(f, values @ candidate)
             q_new = _quasi_likelihood(mu_new, y, f)
-            if q_new >= q - 1e-12:
-                beta, mu, q = candidate, mu_new, q_new
+            if q_new >= q - 1e-12 or halvings == 10:
                 break
             step /= 2.0
-        else:
-            beta = beta + step * delta
-            mu = link_inverse(f, values @ beta)
-            q = _quasi_likelihood(mu, y, f)
+        beta, mu, q = candidate, mu_new, q_new
         path.append(q)
     partial = IrlsFit(beta, iterations, False, q, tuple(path), mu)
     raise NoConvergence(f"IRLS did not converge in {max_iter} iterations", fit=partial)
