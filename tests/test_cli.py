@@ -262,6 +262,7 @@ def test_blank_cluster_id_is_data_error_naming_row_and_column(tmp_path, capsys):
     assert "row 4, column 'ID'" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_mean_is_data_error(tmp_path, capsys, monkeypatch):
     """The CLI fits binomial responses only, so a Poisson fit of raw counts
     is patched in: one count of 1e300 exits 3 with one line saying the mean

@@ -474,6 +474,7 @@ def test_failure_counts_on_small_paper_samples():
                         ("ar1", PerfectSeparation): 2}
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("structure", [Independent(), Exchangeable(), MDependent(1)],
                          ids=lambda cs: cs.kind)
 def test_overflowing_poisson_mean_is_a_domain_error(structure):
