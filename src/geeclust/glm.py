@@ -186,9 +186,11 @@ def irls_fit(x, y, f: Family, tol: float = 1e-10, max_iter: int = 100) -> IrlsFi
             raise PerfectSeparation(
                 "fitted probabilities pinned at 0/1 before the score converged"
             )
-        # the canonical link's d mu / d eta is V(mu): the weight is d^2 / V
+        # the canonical link's d mu / d eta is V(mu): the weight is d^2 / V;
+        # an overflowing weight is reported just below, so numpy need not warn
         var = variance_fn(f, mu)
-        w = var**2 / var
+        with np.errstate(over="ignore"):
+            w = var**2 / var
         if not np.isfinite(w).all():
             raise DomainError(f"{f.distribution} mean overflowed: the largest fitted "
                               f"mean, {mu.max():.6g}, gives a non-finite IRLS weight")
