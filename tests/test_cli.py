@@ -171,6 +171,16 @@ def test_fixed_without_corr_file_is_config_error(paper_csv, capsys, command, fla
     assert message in capsys.readouterr().err
 
 
+def test_malformed_corr_file_is_config_error_naming_the_file(paper_csv, tmp_path, capsys):
+    matrix = tmp_path / "letters.csv"
+    matrix.write_text("1,a\na,1\n")
+    assert main(fit_args(paper_csv, "--corr", "fixed", "--corr-file", str(matrix))) == 2
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error:")]
+    assert len(errors) == 1
+    assert str(matrix) in errors[0] and "could not convert string 'a'" in errors[0]
+
+
 def test_fit_nonconvergence_exit_code(paper_csv, capsys, monkeypatch):
     import geeclust.cli as cli_module
 
