@@ -131,7 +131,10 @@ def _structure_from_name(name, args, ds):
         return Unstructured(ds.max_position)
     if not args.corr_file:
         raise ConfigError("--corr fixed requires --corr-file")
-    matrix = np.loadtxt(args.corr_file, delimiter=",", ndmin=2)
+    try:
+        matrix = np.loadtxt(args.corr_file, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise ConfigError(f"--corr-file {args.corr_file}: {exc}") from None
     return Fixed(matrix)
 
 
