@@ -585,6 +585,109 @@ def test_load_csv_matches_reference_loader_across_batches(
     assert got == expected
 
 
+# Cells of an all-numeric file, which float() and np.loadtxt read alike
+NUMERIC_CELLS = ("01", "1", "2", "2.0", " 7", "1e3", "+1.", "-.5", "-0", "0")
+
+
+@st.composite
+def numeric_csvs(draw):
+    """Raw text of a file with header ID,A,T,Y whose cells are numbers, with
+    blank lines, extra cells on every row and any line end.  At most one
+    change sends it to the cell path: a cell that only float() reads (1_0),
+    a quoted one, a text cell holding "#", one longer row, or a nan, inf or
+    blank cell on the last row."""
+    digits = str(draw(st.integers(10 ** 29, 10 ** 30 - 1)))
+    point = draw(st.integers(0, 30))
+    pool = NUMERIC_CELLS + (f"{digits[:point]}.{digits[point:]}",)
+    width = 4 + draw(st.sampled_from((0, 0, 1, 2)))
+    rows = [[] if draw(st.sampled_from((False,) * 7 + (True,)))
+            else [draw(st.sampled_from(pool)) for _ in range(width)]
+            for _ in range(draw(st.integers(1, 10)))]
+    change = draw(st.sampled_from((None,) * 4 + ("1_0", '"1"', "1#5", "long", "nan", "inf",
+                                                  "")))
+    filled = [cells for cells in rows if cells]
+    if change in ("1_0", '"1"', "1#5", "long") and filled:
+        cells = draw(st.sampled_from(filled))
+        if change == "long":
+            cells.append(draw(st.sampled_from(pool)))
+        else:
+            cells[draw(st.integers(0, width - 1))] = change
+    elif change in ("nan", "inf", ""):
+        rows.append([draw(st.sampled_from(pool)) for _ in range(width)])
+        rows[-1][draw(st.integers(0, 3))] = change
+    end = draw(st.sampled_from(("\n", "\r\n", "\r")))
+    text = end.join(["ID,A,T,Y"] + [",".join(cells) for cells in rows])
+    if draw(st.booleans()):
+        text += end
+    return text, draw(st.sampled_from((None, "T")))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=numeric_csvs())
+def test_load_csv_matches_reference_loader_on_numeric_files(tmp_path_factory, case):
+    text, within = case
+    path = tmp_path_factory.mktemp("csv") / "numeric.csv"
+    path.write_bytes(text.encode("utf-8"))
+    expected = _outcome(reference_load_csv, path, within)
+    got = _outcome(load_csv, path, within)
+    if isinstance(got, ClusteredDataset):
+        got = _loaded(got)
+    assert got == expected
+
+
+def test_all_numeric_file_is_parsed_in_one_pass(tmp_path, monkeypatch):
+    """A file of finite numbers never reaches the cell parser; one text cell
+    sends it there."""
+    import geeclust.data as data_module
+
+    def refuse(cells):
+        raise AssertionError("parsed cell by cell")
+
+    monkeypatch.setattr(data_module, "_parse_column", refuse)
+    path = tmp_path / "numbers.csv"
+    path.write_text("ID,X,T,Y\n01,2.5,2,0\n1,1e3,1,1\n2,-.5,1,1\n")
+    ds = load_csv(path, "ID", "Y", "T")
+    assert _loaded(ds) == (["1", "2"], [2, 1], [1, 2, 1], [1.0, 0.0, 1.0],
+                           {"X": [1000.0, 2.5, -0.5], "T": [1.0, 2.0, 1.0]})
+    path.write_text("ID,X,T,Y\n01,2.5,2,0\n1,abc,1,1\n")
+    with pytest.raises(AssertionError, match="cell by cell"):
+        load_csv(path, "ID", "Y", "T")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text", ["ID,X,Y\n", "ID,X,Y", "ID,X,Y\n\n\r\n\n"],
+                         ids=["header-only", "no-line-end", "blank-lines"])
+def test_file_without_data_rows_loads_empty_without_warning(tmp_path, text):
+    path = tmp_path / "empty.csv"
+    path.write_bytes(text.encode("utf-8"))
+    for within in (None, "X"):
+        ds = load_csv(path, "ID", "Y", within)
+        assert _loaded(ds) == ([], [], [], [], {"X": []})
+
+
+def test_write_csv_quotes_as_csv_writer_and_loads_back(tmp_path):
+    ids = ["a,b", 'say "hi"', "two\nlines", "car\rriage", " padded "]
+    text = ["x, y", '"', "\r\n", " lead", "trail ", None, 1.5]
+    ds = ClusteredDataset(ids, [2, 1, 1, 2, 1], [1, 2, 1, 1, 1, 2, 1],
+                          [0.0, 1.0, 1.0, 0.0, 1.0, 0.0, 1.0],
+                          {"TXT": text, "NUM": [2.0, None, -0.5, 3.0, 1e20, 4.0, 0.25]},
+                          "ID", "Y", None)
+    path = tmp_path / "quoted.csv"
+    write_csv(ds, path)
+    expected = tmp_path / "expected.csv"
+    with open(expected, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["ID", "TXT", "NUM", "Y"])
+        writer.writerows([
+            ["a,b", "x, y", "2", "0"], ["a,b", '"', "", "1"],
+            ['say "hi"', "\r\n", "-0.5", "1"], ["two\nlines", " lead", "3", "0"],
+            ["car\rriage", "trail ", "1e+20", "1"], ["car\rriage", "", "4", "0"],
+            [" padded ", "1.5", "0.25", "1"],
+        ])
+    assert path.read_bytes() == expected.read_bytes()
+    assert _loaded(load_csv(path, "ID", "Y")) == _loaded(ds)
+
+
 @st.composite
 def small_datasets(draw):
     ids = draw(st.lists(st.one_of(st.integers(0, 999).map(str),
