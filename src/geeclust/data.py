@@ -23,6 +23,10 @@ order and rows in occasion order inside each, as:
 
 NaN can stand for "missing" because `load_csv` rejects cells that parse to
 nan or inf.  Every array is read-only.
+
+A file whose every data cell is a finite number written without quotes is
+parsed in one pass by np.loadtxt; any other file is parsed cell by cell.
+Both give the same dataset from the same file.
 """
 
 import csv
@@ -258,13 +262,36 @@ def _cluster_key(text):
 READ_BATCH_ROWS = 256
 
 
-def _read_columns(path, required):
-    """Header, file row numbers and cell columns of a CSV file.
+def _numeric_table(handle, width):
+    """The rest of `handle` as a float table when its rows have one length,
+    at least `width`, and every cell is a finite number; else None."""
+    lines = handle.readlines()
+    if not any(map(str.strip, lines)):
+        return None  # loadtxt warns on a file with no data row
+    try:
+        # comments=None: the default "#" would cut a cell short
+        table = np.loadtxt(lines, dtype=float, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if table.shape[1] < width or not np.isfinite(table).all():
+        return None
+    return table
 
-    Blank lines are skipped; short rows are padded with blank cells, and
-    cells past the header's width are ignored.  A header that names one
-    column twice raises DuplicateColumn; a file that cannot be opened raises
-    its OSError.
+
+def _read_columns(path, required):
+    """Header, file row numbers and columns of a CSV file.
+
+    A file whose every data cell is a finite number written without quotes
+    is parsed in one pass by np.loadtxt: its columns are float arrays and
+    its row numbers None, since none of its cells can be bad.  loadtxt turns
+    decimal text into the float that float() gives, so the values are the
+    ones the cell by cell read below gives.
+
+    Any other file is read cell by cell, into columns of cell text: blank
+    lines are skipped; short rows are padded with blank cells, and cells
+    past the header's width are ignored.  A header that names one column
+    twice raises DuplicateColumn; a file that cannot be opened raises its
+    OSError.
     """
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
@@ -279,6 +306,11 @@ def _read_columns(path, required):
         if repeated:
             raise DuplicateColumn(repeated[0])
         width = len(header)
+        table = _numeric_table(handle, width)
+        if table is not None:
+            return header, None, list(table.T[:width])
+        handle.seek(0)
+        next(reader)
         row_nums, columns = [], [[] for _ in header]
         first = 2
         while chunk := list(islice(reader, READ_BATCH_ROWS)):
@@ -325,28 +357,14 @@ def _occasions(code, ids, within):
     return order, np.where(missing, tail, rank)
 
 
-def load_csv(path, cluster_col, response_col, within_col=None) -> ClusteredDataset:
-    """Read a clustered dataset from a CSV file.
+def _parse_cells(header, row_nums, raw, cluster_col, response_col, within_col):
+    """Parse and check columns of cell text as `load_csv` says.
 
-    Rows are grouped by `cluster_col` (clusters keep first-appearance order)
-    and sorted within a cluster by `within_col` when given, file order
-    otherwise; rows with a missing within value keep file order after the
-    observed ones.  Occasion indices are the global ranks of the distinct
-    within values (arrival order 1..n_i when no within column is declared).
-    Rows with a missing response are dropped with a logged count; a blank
-    cluster id on any other row is an error.
-
-    Each bad cell raises UnparseableValue(row, column), file rows counted
-    from 1 at the header: the first row holding one wins, and inside a row
-    a cell that parses to nan or inf (leftmost in header order) comes first,
-    then a text response, a text within value, and a blank cluster id.
+    Returns ({name: values} for every column but the cluster column, the
+    indices of the kept rows, their cluster cells, and the normalised
+    cluster id of a cell).
     """
-    roles = [cluster_col, response_col] + ([within_col] if within_col else [])
-    if len(set(roles)) < len(roles):
-        raise ValueError(f"cluster, response and within columns must differ: {roles}")
-    header, row_nums, raw = _read_columns(path, roles)
     idx = {name: i for i, name in enumerate(header)}
-
     # candidate errors as (row index, stage, header order, column, cell)
     errors = []
     parsed = {}
@@ -383,51 +401,94 @@ def load_csv(path, cluster_col, response_col, within_col=None) -> ClusteredDatas
     dropped = len(cells) - len(kept)
     if dropped:
         log.info("dropped %d rows with missing response", dropped)
+    values = {name: column for name, (column, _, _) in parsed.items()}
+    return values, kept, kept_cells, keys.__getitem__
+
+
+def load_csv(path, cluster_col, response_col, within_col=None) -> ClusteredDataset:
+    """Read a clustered dataset from a CSV file.
+
+    Rows are grouped by `cluster_col` (clusters keep first-appearance order)
+    and sorted within a cluster by `within_col` when given, file order
+    otherwise; rows with a missing within value keep file order after the
+    observed ones.  Occasion indices are the global ranks of the distinct
+    within values (arrival order 1..n_i when no within column is declared).
+    Rows with a missing response are dropped with a logged count; a blank
+    cluster id on any other row is an error.
+
+    Each bad cell raises UnparseableValue(row, column), file rows counted
+    from 1 at the header: the first row holding one wins, and inside a row
+    a cell that parses to nan or inf (leftmost in header order) comes first,
+    then a text response, a text within value, and a blank cluster id.
+    """
+    roles = [cluster_col, response_col] + ([within_col] if within_col else [])
+    if len(set(roles)) < len(roles):
+        raise ValueError(f"cluster, response and within columns must differ: {roles}")
+    header, row_nums, raw = _read_columns(path, roles)
+    if row_nums is None:
+        # a table of finite numbers: no cell is bad, every row is kept, and
+        # a number's cluster id is what _cluster_key gives for its text
+        values = dict(zip(header, raw))
+        kept_cells = values[cluster_col].tolist()
+        kept, cluster_id = np.arange(len(kept_cells)), _format_cell
+    else:
+        values, kept, kept_cells, cluster_id = _parse_cells(
+            header, row_nums, raw, cluster_col, response_col, within_col)
 
     # clusters in order of first appearance of their normalised id
     first, code_of = {}, {}
-    for text in dict.fromkeys(kept_cells):
-        code_of[text] = first.setdefault(keys[text], len(first))
+    for cell in dict.fromkeys(kept_cells):
+        code_of[cell] = first.setdefault(cluster_id(cell), len(first))
     code = np.fromiter(map(code_of.__getitem__, kept_cells), np.int64, len(kept))
     ids = tuple(first)
     # text left in the within column sits on dropped rows only
-    within = _as_column(parsed[within_col][0][kept]) if within_col is not None else None
+    within = _as_column(values[within_col][kept]) if within_col is not None else None
     order, positions = _occasions(code, ids, within)
     rows = kept[order]
     return ClusteredDataset(
         ids=ids,
         sizes=np.bincount(code, minlength=len(ids)),
         positions=positions,
-        response=response[rows],
-        columns={name: parsed[name][0][rows]
-                 for name in idx if name not in (cluster_col, response_col)},
+        response=values[response_col][rows],
+        columns={name: values[name][rows]
+                 for name in header if name not in (cluster_col, response_col)},
         cluster_col=cluster_col,
         response_col=response_col,
         within_col=within_col,
     )
 
 
+def _csv_field(text) -> str:
+    """`text` as csv.writer writes it: in double quotes, with its own quotes
+    doubled, when it holds a comma, a quote or a line break."""
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _format_column(values) -> list:
-    """The CSV text of every cell of a column, each distinct value formatted once."""
+    """The CSV field of every cell of a column.  A number's text needs no
+    quotes, and each distinct number is formatted once."""
     if values.dtype == object:
-        return [_format_cell(v) for v in values.tolist()]
+        return [_csv_field(_format_cell(v)) for v in values.tolist()]
     levels, codes = np.unique(values, return_inverse=True)
     text = np.array([_format_cell(v) for v in levels.tolist()], dtype=object)
     return text[codes].tolist()
 
 
 def write_csv(ds: ClusteredDataset, path) -> None:
-    """Write a dataset back to CSV (header: cluster, covariates, response)."""
+    """Write a dataset back to CSV (header: cluster, covariates, response),
+    quoted as csv.writer quotes it."""
     header = [ds.cluster_col, *ds.variable_names, ds.response_col]
     ids = np.empty(ds.n_clusters, dtype=object)
-    ids[:] = ds.ids
+    ids[:] = [_csv_field(str(cid)) for cid in ds.ids]
     columns = [np.repeat(ids, ds.sizes).tolist()]
     columns += [_format_column(values) for values in ds.columns.values()]
     columns.append(_format_column(ds.response))
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(zip(*columns))
+        csv.writer(handle).writerow(header)
+        if ds.n_total:
+            handle.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
 
 
 def derive_threshold(ds, source, threshold, new_name, strict_above=True):
