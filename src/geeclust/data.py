@@ -24,16 +24,15 @@ order and rows in occasion order inside each, as:
 NaN can stand for "missing" because `load_csv` rejects cells that parse to
 nan or inf.  Every array is read-only.
 
-A file whose every data cell is a finite number written without quotes is
-parsed in one pass by np.loadtxt; any other file is parsed cell by cell.
-Both give the same dataset from the same file.
+A file whose every data cell is an unquoted finite number is parsed in one
+np.loadtxt pass, any other file cell by cell; both give the same dataset.
 """
 
 import csv
 import logging
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from itertools import compress, islice
+from itertools import chain, compress, dropwhile, islice
 from math import isfinite
 from numbers import Real
 from typing import Mapping, Optional
@@ -265,12 +264,15 @@ READ_BATCH_ROWS = 256
 def _numeric_table(handle, width):
     """The rest of `handle` as a float table when its rows have one length,
     at least `width`, and every cell is a finite number; else None."""
-    lines = handle.readlines()
-    if not any(map(str.strip, lines)):
-        return None  # loadtxt warns on a file with no data row
+    # loadtxt skips blank lines, but warns when it finds no other line
+    lines = dropwhile(lambda line: line in ("\n", "\r\n", "\r"), handle)
+    first = next(lines, None)
+    if first is None:
+        return None
     try:
         # comments=None: the default "#" would cut a cell short
-        table = np.loadtxt(lines, dtype=float, delimiter=",", comments=None, ndmin=2)
+        table = np.loadtxt(chain([first], lines), dtype=float, delimiter=",",
+                           comments=None, ndmin=2)
     except ValueError:
         return None
     if table.shape[1] < width or not np.isfinite(table).all():
@@ -282,10 +284,9 @@ def _read_columns(path, required):
     """Header, file row numbers and columns of a CSV file.
 
     A file whose every data cell is a finite number written without quotes
-    is parsed in one pass by np.loadtxt: its columns are float arrays and
-    its row numbers None, since none of its cells can be bad.  loadtxt turns
-    decimal text into the float that float() gives, so the values are the
-    ones the cell by cell read below gives.
+    is parsed in one np.loadtxt pass into float columns, with row numbers
+    None: no cell of it can be bad.  loadtxt rounds decimal text as float()
+    does, so the values are those of the cell by cell read below.
 
     Any other file is read cell by cell, into columns of cell text: blank
     lines are skipped; short rows are padded with blank cells, and cells

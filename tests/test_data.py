@@ -4,7 +4,7 @@ from math import isfinite
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from geeclust import (
@@ -591,11 +591,12 @@ NUMERIC_CELLS = ("01", "1", "2", "2.0", " 7", "1e3", "+1.", "-.5", "-0", "0")
 
 @st.composite
 def numeric_csvs(draw):
-    """Raw text of a file with header ID,A,T,Y whose cells are numbers, with
-    blank lines, extra cells on every row and any line end.  At most one
-    change sends it to the cell path: a cell that only float() reads (1_0),
-    a quoted one, a text cell holding "#", one longer row, or a nan, inf or
-    blank cell on the last row."""
+    """Raw text of a file with columns ID, A, T and Y in any order whose
+    cells are numbers, with blank lines, extra cells on every row and any
+    line end.  At most one change sends it to the cell path: a cell that only
+    float() reads (1_0), a quoted one, a text cell holding "#", one longer
+    row, a first line of spaces, or a nan, inf or blank cell on the last
+    row."""
     digits = str(draw(st.integers(10 ** 29, 10 ** 30 - 1)))
     point = draw(st.integers(0, 30))
     pool = NUMERIC_CELLS + (f"{digits[:point]}.{digits[point:]}",)
@@ -603,8 +604,8 @@ def numeric_csvs(draw):
     rows = [[] if draw(st.sampled_from((False,) * 7 + (True,)))
             else [draw(st.sampled_from(pool)) for _ in range(width)]
             for _ in range(draw(st.integers(1, 10)))]
-    change = draw(st.sampled_from((None,) * 4 + ("1_0", '"1"', "1#5", "long", "nan", "inf",
-                                                  "")))
+    change = draw(st.sampled_from((None,) * 4 + ("1_0", '"1"', "1#5", "long", "spaces",
+                                                  "nan", "inf", "")))
     filled = [cells for cells in rows if cells]
     if change in ("1_0", '"1"', "1#5", "long") and filled:
         cells = draw(st.sampled_from(filled))
@@ -612,11 +613,14 @@ def numeric_csvs(draw):
             cells.append(draw(st.sampled_from(pool)))
         else:
             cells[draw(st.integers(0, width - 1))] = change
+    elif change == "spaces":
+        rows.insert(0, ["  "])
     elif change in ("nan", "inf", ""):
         rows.append([draw(st.sampled_from(pool)) for _ in range(width)])
         rows[-1][draw(st.integers(0, 3))] = change
     end = draw(st.sampled_from(("\n", "\r\n", "\r")))
-    text = end.join(["ID,A,T,Y"] + [",".join(cells) for cells in rows])
+    header = ",".join(draw(st.permutations(("ID", "A", "T", "Y"))))
+    text = end.join([header] + [",".join(cells) for cells in rows])
     if draw(st.booleans()):
         text += end
     return text, draw(st.sampled_from((None, "T")))
@@ -624,6 +628,7 @@ def numeric_csvs(draw):
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(case=numeric_csvs())
+@example(case=("Y,ID,A,T\n  \n0,1,2,3\n", None))  # a first line of spaces, Y first
 def test_load_csv_matches_reference_loader_on_numeric_files(tmp_path_factory, case):
     text, within = case
     path = tmp_path_factory.mktemp("csv") / "numeric.csv"
