@@ -362,8 +362,8 @@ def _parse_cells(header, row_nums, raw, cluster_col, response_col, within_col):
     """Parse and check columns of cell text as `load_csv` says.
 
     Returns ({name: values} for every column but the cluster column, the
-    indices of the kept rows, their cluster cells, and the normalised
-    cluster id of a cell).
+    indices of the kept rows, their cluster cells, and the function that
+    maps a cluster cell to its normalised id).
     """
     idx = {name: i for i, name in enumerate(header)}
     # candidate errors as (row index, stage, header order, column, cell)
