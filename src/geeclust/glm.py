@@ -23,6 +23,7 @@ SUPPORTED_PAIRS = {
 }
 
 BOUNDARY_EPS = 1e-10
+SQRT_FLOAT_MAX = float(np.sqrt(np.finfo(float).max))  # larger floats square to inf
 
 
 @dataclass(frozen=True)
@@ -186,14 +187,13 @@ def irls_fit(x, y, f: Family, tol: float = 1e-10, max_iter: int = 100) -> IrlsFi
             raise PerfectSeparation(
                 "fitted probabilities pinned at 0/1 before the score converged"
             )
-        # the canonical link's d mu / d eta is V(mu): the weight is d^2 / V;
-        # an overflowing weight is reported just below, so numpy need not warn
+        # the canonical link's d mu / d eta is V(mu): the weight is d^2 / V,
+        # finite exactly when V is at most SQRT_FLOAT_MAX (checked first: no warning)
         var = variance_fn(f, mu)
-        with np.errstate(over="ignore"):
-            w = var**2 / var
-        if not np.isfinite(w).all():
+        if not var.max() <= SQRT_FLOAT_MAX:
             raise DomainError(f"{f.distribution} mean overflowed: the largest fitted "
                               f"mean, {mu.max():.6g}, gives a non-finite IRLS weight")
+        w = var**2 / var
         info = values.T @ (values * w[:, None])
         try:
             delta = np.linalg.solve(info, score)
