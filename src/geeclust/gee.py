@@ -87,12 +87,51 @@ def _subset_template(template, positions):
 
 @dataclass
 class _ClusterLayout:
-    """Ids, sizes and first rows of the clusters; every row's occasion."""
+    """Ids, sizes and first rows of the clusters; every row's occasion.
+
+    What depends on the layout alone is computed on first use and kept, so
+    a fit pays for it once rather than at every moment refresh.
+    """
 
     ids: tuple
     sizes: np.ndarray
     starts: np.ndarray
     positions: np.ndarray
+
+    @cached_property
+    def largest(self):
+        return int(self.sizes.max())
+
+    @cached_property
+    def has_pairs(self):
+        """Whether any cluster has two rows; without one no moment exists."""
+        return bool(np.any(self.sizes > 1))
+
+    @cached_property
+    def n_pairs(self):
+        return int(np.sum(self.sizes * (self.sizes - 1) // 2))
+
+    @cached_property
+    def cluster(self):
+        """Each row's cluster index."""
+        return np.repeat(np.arange(len(self.sizes)), self.sizes)
+
+    @cached_property
+    def _pair_rows(self):
+        """Occasion lag, first row and second row of every within-cluster
+        pair, by row distance and then by first row."""
+        lags, first, second = [], [], []
+        for d in range(1, self.largest):
+            rows = np.flatnonzero(self.cluster[d:] == self.cluster[:-d])
+            lags.append(np.abs(self.positions[rows + d] - self.positions[rows]))
+            first.append(rows)
+            second.append(rows + d)
+        return np.concatenate(lags), np.concatenate(first), np.concatenate(second)
+
+    def lag_pairs(self, resid):
+        """Occasion lag and residual product of every within-cluster pair."""
+        lags, first, second = self._pair_rows
+        return lags, resid[first] * resid[second]
 
     @cached_property
     def size_groups(self):
@@ -191,13 +230,11 @@ class Exchangeable:
         g = np.add.reduceat(z * e[:, None], layout.starts) - z_sum * (c * e_sum)[:, None]
         return info, g / scale
 
-    def estimate(self, resid, positions, sizes, phi, p, subtract_p):
-        # segment sums run over the cluster offsets
-        offsets = np.cumsum(sizes) - sizes
-        sums = np.add.reduceat(resid, offsets)
-        squares = np.add.reduceat(resid**2, offsets)
+    def estimate(self, resid, layout, phi, p, subtract_p):
+        sums = np.add.reduceat(resid, layout.starts)
+        squares = np.add.reduceat(resid**2, layout.starts)
         num = float(np.sum(sums**2 - squares)) / 2.0
-        n_pairs = int(np.sum(sizes * (sizes - 1) // 2))
+        n_pairs = layout.n_pairs
         denom = n_pairs - p if subtract_p else n_pairs
         if denom <= 0:
             warnings.warn(
@@ -205,7 +242,7 @@ class Exchangeable:
                 UnderdeterminedLag, stacklevel=3)
             denom = n_pairs
         alpha = _clamp(num / (denom * phi))
-        floor = -1.0 / (int(sizes.max()) - 1) + 1e-6
+        floor = -1.0 / (layout.largest - 1) + 1e-6
         return Exchangeable(max(alpha, floor))
 
 
@@ -240,8 +277,8 @@ class MDependent:
 
     cluster_sums = _cholesky_sums
 
-    def estimate(self, resid, positions, sizes, phi, p, subtract_p):
-        pairs = _lag_pairs(resid, positions, sizes)
+    def estimate(self, resid, layout, phi, p, subtract_p):
+        pairs = layout.lag_pairs(resid)
         alphas = tuple(
             _lag_moment(pairs, s, phi, p, subtract_p, f"lag {s}")
             for s in range(1, self.m + 1)
@@ -286,8 +323,8 @@ class AR1:
         p = z.shape[1]
         return z.T @ rw[:, :p] / phi, np.add.reduceat(z * rw[:, p:], layout.starts) / phi
 
-    def estimate(self, resid, positions, sizes, phi, p, subtract_p):
-        pairs = _lag_pairs(resid, positions, sizes)
+    def estimate(self, resid, layout, phi, p, subtract_p):
+        pairs = layout.lag_pairs(resid)
         return AR1(_lag_moment(pairs, 1, phi, p, subtract_p, "lag 1"))
 
 
@@ -330,15 +367,15 @@ class Unstructured:
 
     cluster_sums = _cholesky_sums
 
-    def estimate(self, resid, positions, sizes, phi, p, subtract_p):
+    def estimate(self, resid, layout, phi, p, subtract_p):
         # occasion-indexed residual layout: products of zeros drop the
         # clusters that miss either occasion, giving available-pairs sums
         t = self.size
-        cluster = np.repeat(np.arange(len(sizes)), sizes)
-        z = np.zeros((len(sizes), t))
-        mask = np.zeros((len(sizes), t))
-        z[cluster, positions - 1] = resid
-        mask[cluster, positions - 1] = 1.0
+        at = (layout.cluster, layout.positions - 1)
+        z = np.zeros((len(layout.sizes), t))
+        mask = np.zeros((len(layout.sizes), t))
+        z[at] = resid
+        mask[at] = 1.0
         cross = z.T @ z
         counts = mask.T @ mask
         off = ~np.eye(t, dtype=bool)
@@ -450,18 +487,7 @@ def estimate_phi(residuals, n_total, p, fix_to_one=False) -> float:
 
 
 def _clamp(a):
-    return float(np.clip(a, -ALPHA_CLAMP, ALPHA_CLAMP))
-
-
-def _lag_pairs(resid, positions, sizes):
-    """Occasion lag and residual product of every within-cluster pair."""
-    cluster = np.repeat(np.arange(len(sizes)), sizes)
-    lags, products = [], []
-    for d in range(1, int(sizes.max())):
-        same = cluster[d:] == cluster[:-d]
-        lags.append(np.abs(positions[d:] - positions[:-d])[same])
-        products.append((resid[:-d] * resid[d:])[same])
-    return np.concatenate(lags), np.concatenate(products)
+    return float(min(max(a, -ALPHA_CLAMP), ALPHA_CLAMP))
 
 
 def _lag_moment(pairs, s, phi, p, subtract_p, label):
@@ -546,7 +572,8 @@ def estimate_alpha(cs, residuals, positions, sizes, phi, p, subtract_p=True):
         raise ValueError(
             f"{len(resid)} residuals and {len(positions)} positions for "
             f"clusters of {int(sizes.sum())} rows")
-    return cs.estimate(resid, positions, sizes, phi, p, subtract_p)
+    layout = _ClusterLayout((), sizes, np.cumsum(sizes) - sizes, positions)
+    return cs.estimate(resid, layout, phi, p, subtract_p)
 
 
 @dataclass(frozen=True)
@@ -594,7 +621,9 @@ def independence_information(x, ds, f, beta, phi=1.0) -> np.ndarray:
     """
     values = np.asarray(getattr(x, "values", x), dtype=float)
     mu = glm.link_inverse(f, values @ np.asarray(beta, dtype=float))
-    w = glm.mean_derivative(f, mu) ** 2 / glm.variance_fn(f, mu)
+    # the canonical link's d mu / d eta is V(mu)
+    var = glm.variance_fn(f, mu)
+    w = var**2 / var
     return (values.T @ (values * w[:, None])) / phi
 
 
@@ -642,42 +671,42 @@ def fit_gee(x, ds, f, cs, options: GeeOptions = None) -> GeeFit:
         start = exc.fit
 
     def at_mean(mu):
-        """The mean, the row scale of z = A^{-1/2} D (d mu / d eta over
-        sqrt V; the canonical link's d mu / d eta is V) and the Pearson
-        residuals e = (y - mu) / sqrt V."""
-        a = glm.variance_fn(f, mu)
+        """The mean, whether a binomial mean is pinned at 0 or 1, the
+        whitened rows z = A^{-1/2} D (d mu / d eta over sqrt V times x; the
+        canonical link's d mu / d eta is V) and the Pearson residuals
+        e = (y - mu) / sqrt V.  One range serves the domain check and the
+        boundary test."""
+        lo, hi = glm._mean_range(mu)
+        glm._check_mean_range(f, lo, hi)
+        boundary = f.distribution == "binomial" and bool(
+            lo <= glm.BOUNDARY_EPS or hi >= 1.0 - glm.BOUNDARY_EPS)
+        a = glm._variance(f, mu)
         root = np.sqrt(a)
-        return mu, a / root, (y - mu) / root
+        return mu, boundary, (a / root)[:, None] * values, (y - mu) / root
 
     def refresh(cs, resid):
         phi = estimate_phi(resid, n, p, fix_to_one=fix_phi)
         if opts.update_alpha and hasattr(cs, "estimate"):
-            try:
-                cs = estimate_alpha(cs, resid, layout.positions, layout.sizes, phi, p,
-                                    subtract_p=opts.subtract_p)
-            except NoPairs:
+            if layout.has_pairs:
+                cs = cs.estimate(resid, layout, phi, p, opts.subtract_p)
+            else:
                 warnings.warn(
                     "all clusters are singletons; correlation parameters kept",
                     UnderdeterminedLag, stacklevel=2)
         return cs, phi
 
-    def assemble(mu, z_scale, resid, cs, phi):
-        """Information M, score s and sandwich meat B from the structure's
-        per-cluster score rows."""
-        boundary = f.distribution == "binomial" and bool(
-            (mu <= glm.BOUNDARY_EPS).any() or (mu >= 1.0 - glm.BOUNDARY_EPS).any())
-        info, g = cs.cluster_sums(z_scale[:, None] * values, resid, layout, phi)
-        return info, g.sum(axis=0), g.T @ g, boundary
-
+    # each structure's cluster_sums gives the information M and the
+    # per-cluster score rows g_i: the score is their sum and the sandwich
+    # meat B their cross-product, formed once after the loop
     beta = start.beta.copy()
-    mu, z_scale, resid = at_mean(start.mu)
+    mu, boundary, z, resid = at_mean(start.mu)
     cs_current, phi = refresh(cs, resid)
     converged = False
     iterations = 0
     for iterations in range(1, opts.max_iter + 1):
-        info, score, _, boundary = assemble(mu, z_scale, resid, cs_current, phi)
+        info, g = cs_current.cluster_sums(z, resid, layout, phi)
         try:
-            delta = spd_solve(spd_factor(info), score)
+            delta = spd_solve(spd_factor(info), g.sum(axis=0))
         except NotPositiveDefinite:
             raise RankDeficient("GEE information matrix is not positive definite") from None
         beta = beta + delta
@@ -686,15 +715,15 @@ def fit_gee(x, ds, f, cs, options: GeeOptions = None) -> GeeFit:
             raise PerfectSeparation(
                 "fitted probabilities pinned at 0/1 before the step converged"
             )
-        mu, z_scale, resid = at_mean(glm.link_inverse(f, values @ beta))
+        mu, boundary, z, resid = at_mean(glm.link_inverse(f, values @ beta))
         cs_current, phi = refresh(cs_current, resid)
         if step < opts.tol:
             converged = True
             break
 
-    info, _, meat, _ = assemble(mu, z_scale, resid, cs_current, phi)
+    info, g = cs_current.cluster_sums(z, resid, layout, phi)
     minv = spd_inverse(spd_factor(info))
-    cov_robust = minv @ meat @ minv
+    cov_robust = minv @ (g.T @ g) @ minv
     cov_robust = (cov_robust + cov_robust.T) / 2.0
     fit = GeeFit(
         beta=beta,

@@ -45,14 +45,31 @@ class Family:
             )
 
 
-def _check_mean_space(f: Family, mu):
-    mu = np.asarray(mu, dtype=float)
+def _mean_range(mu):
+    """The smallest and largest entries of a mean array, NaNs skipped.
+
+    `lo <= c` holds exactly when `(mu <= c).any()` does, and `hi >= c`
+    exactly when `(mu >= c).any()`, empty and all-NaN arrays included, so
+    one pair serves every domain and boundary test on the mean.
+    """
+    return (np.fmin.reduce(mu, axis=None, initial=np.inf),
+            np.fmax.reduce(mu, axis=None, initial=-np.inf))
+
+
+def _check_mean_range(f: Family, lo, hi):
+    """Raise DomainError unless a mean with range [lo, hi] lies in the
+    family's mean space."""
     if f.distribution == "binomial":
-        if (mu <= 0.0).any() or (mu >= 1.0).any():
+        if lo <= 0.0 or hi >= 1.0:
             raise DomainError("binomial mean must lie strictly in (0, 1)")
     elif f.distribution == "poisson":
-        if (mu <= 0.0).any():
+        if lo <= 0.0:
             raise DomainError("poisson mean must be positive")
+
+
+def _check_mean_space(f: Family, mu):
+    mu = np.asarray(mu, dtype=float)
+    _check_mean_range(f, *_mean_range(mu))
     return mu
 
 
@@ -78,7 +95,11 @@ def link_inverse(f: Family, eta):
 
 def variance_fn(f: Family, mu):
     """Variance function: normal -> 1, binomial -> mu(1-mu), poisson -> mu."""
-    mu = _check_mean_space(f, mu)
+    return _variance(f, _check_mean_space(f, mu))
+
+
+def _variance(f: Family, mu):
+    """`variance_fn` at a float array whose range has been checked."""
     if f.distribution == "normal":
         return np.ones_like(mu)
     if f.distribution == "binomial":
@@ -182,14 +203,15 @@ def irls_fit(x, y, f: Family, tol: float = 1e-10, max_iter: int = 100) -> IrlsFi
         score = values.T @ (y - mu)
         if float(np.abs(score).max()) < tol:
             return IrlsFit(beta, iterations - 1, True, q, tuple(path), mu)
-        if f.distribution == "binomial" and (
-                (mu <= BOUNDARY_EPS).any() or (mu >= 1.0 - BOUNDARY_EPS).any()):
+        lo, hi = _mean_range(mu)
+        if f.distribution == "binomial" and (lo <= BOUNDARY_EPS or hi >= 1.0 - BOUNDARY_EPS):
             raise PerfectSeparation(
                 "fitted probabilities pinned at 0/1 before the score converged"
             )
+        _check_mean_range(f, lo, hi)
         # the canonical link's d mu / d eta is V(mu): the weight is d^2 / V,
         # finite exactly when V is at most SQRT_FLOAT_MAX (checked first: no warning)
-        var = variance_fn(f, mu)
+        var = _variance(f, mu)
         if not var.max() <= SQRT_FLOAT_MAX:
             raise DomainError(f"{f.distribution} mean overflowed: the largest fitted "
                               f"mean, {mu.max():.6g}, gives a non-finite IRLS weight")

@@ -10,7 +10,7 @@ Working correlations are factored in `gee` without jitter.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
+from scipy.linalg.lapack import dpotrs
 
 from .errors import DimensionMismatch, NotPositiveDefinite
 
@@ -75,7 +75,10 @@ def spd_solve(f: CholeskyFactor, b) -> np.ndarray:
         raise DimensionMismatch(
             f"factor is {f.n}x{f.n} but right-hand side has {rhs.shape[0]} rows"
         )
-    x = cho_solve((f.lower, True), rhs)
+    # dpotrs is the LAPACK routine scipy.linalg.cho_solve calls; like it,
+    # a non-finite entry is a ValueError
+    rhs = np.asarray_chkfinite(rhs)
+    x, _ = dpotrs(np.asarray_chkfinite(f.lower), rhs, lower=True)
     return x[:, 0] if vector else x
 
 

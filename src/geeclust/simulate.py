@@ -205,8 +205,10 @@ def _latent_rho(p_j, p_k, alpha) -> float:
 _chol_cache = LruCache(1024)
 
 
-def _latent_cholesky(margins, alpha):
-    key = (tuple(round(p, 12) for p in margins), round(alpha, 12))
+def _latent_cholesky(margins, rounded, alpha):
+    """The latent correlation's Cholesky factor for a cluster's margins;
+    `rounded` is the margins rounded to 12 decimals, the cache key."""
+    key = (rounded, round(alpha, 12))
     cached = _chol_cache.lookup(key)
     if cached is not None:
         return cached
@@ -255,6 +257,20 @@ def _spec_values(spec: CovariateSpec, u):
     return _levels(spec.levels, u)
 
 
+def _distinct_rows(a):
+    """The distinct rows of a 2-d array in lexicographic order, the index of
+    each one's first occurrence and each row's index among them: what
+    `np.unique(a, axis=0, return_index=True, return_inverse=True)` returns,
+    from one stable `lexsort`."""
+    order = np.lexsort(a.T[::-1])
+    ordered = a[order]
+    new = np.ones(len(a), dtype=bool)
+    new[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    inverse = np.empty(len(a), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return ordered[new], order[new], inverse
+
+
 def _latent_noise(noise, margins, sizes, starts, alpha):
     """Replace each multi-row cluster's noise e_i by L_i e_i, in place.
 
@@ -262,18 +278,21 @@ def _latent_noise(noise, margins, sizes, starts, alpha):
     of one size share a stacked gather; each distinct margin tuple is
     factored once, in order of first appearance in the dataset, so the
     caches see the same first calls and the same InfeasibleCorrelation
-    fires as when clusters are factored one by one.
+    fires as when clusters are factored one by one.  A size group's cache
+    keys come from one `np.round`, which rounds as the numpy scalar's
+    `round` does (a Python float's `round` differs on some values).
     """
     groups, firsts = [], []
     for m in np.unique(sizes[sizes > 1]):
         rows = starts[sizes == m][:, None] + np.arange(m)
-        distinct, first, inverse = np.unique(
-            margins[rows], axis=0, return_index=True, return_inverse=True)
+        distinct, first, inverse = _distinct_rows(margins[rows])
+        rounded = np.round(distinct, 12)
         factors = np.empty((len(distinct), m, m))
-        groups.append((rows, inverse.reshape(-1), factors))
-        firsts += [(int(rows[f, 0]), factors, j, distinct[j]) for j, f in enumerate(first)]
-    for _, factors, j, key in sorted(firsts, key=lambda entry: entry[0]):
-        factors[j] = _latent_cholesky(tuple(key), alpha)
+        groups.append((rows, inverse, factors))
+        firsts += [(int(rows[f, 0]), factors, j, distinct[j], rounded[j])
+                   for j, f in enumerate(first)]
+    for _, factors, j, key, rounded in sorted(firsts, key=lambda entry: entry[0]):
+        factors[j] = _latent_cholesky(tuple(key), tuple(rounded), alpha)
     for rows, inverse, factors in groups:
         noise[rows] = (factors[inverse] @ noise[rows][:, :, None])[:, :, 0]
 

@@ -91,7 +91,8 @@ def reference_generate(profile):
         thresholds = stats.norm.ppf(margins)
         noise = rng.standard_normal(size)
         if profile.alpha > 0.0 and size > 1:
-            z = _latent_cholesky(tuple(margins), profile.alpha) @ noise
+            z = _latent_cholesky(tuple(margins), tuple(round(p, 12) for p in margins),
+                                 profile.alpha) @ noise
         else:
             z = noise
         responses = (z <= thresholds).astype(float)
