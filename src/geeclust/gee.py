@@ -32,7 +32,15 @@ not factor is an error naming the structure and a cluster whose working
 correlation fails; no jitter is added.
 
 `fit_gee` leaves the design-rank check to `glm.irls_fit`, and it evaluates
-the mean, its variance and the whitened residuals once per iterate.
+the mean, its variance and the whitened residuals once per iterate.  Each
+mean is checked once, through its smallest and largest entries, for both
+the domain error and the binomial boundary.  What depends on the clusters
+alone (their first rows, the pair count, the largest cluster, whether any
+cluster has two rows, the within-cluster pair rows) is computed once per
+fit on `_ClusterLayout`, which every structure's `estimate(resid, layout,
+phi, p, subtract_p)` reads; `fit_gee` calls it directly, and
+`estimate_alpha` is the public entry that checks its arguments first.  The
+sandwich meat is formed once, after the scoring loop.
 """
 
 import warnings

@@ -6,7 +6,10 @@ stands on its own (it solves the independence score equation) and supplies
 starting values plus the independence quasi-likelihood used by QIC.
 
 `irls_fit` checks the design rank once per fit and maps each coefficient
-vector it visits to the mean once; the GEE start reuses that mean.
+vector it visits to the mean once; the GEE start reuses that mean.  A mean
+is checked through its range: one smallest/largest pair (`_mean_range`)
+serves the domain check and the binomial boundary test, with the same
+outcome as an elementwise test of every entry.
 """
 
 from dataclasses import dataclass

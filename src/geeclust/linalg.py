@@ -4,7 +4,10 @@ Cholesky is the only factorization offered.  `spd_factor` retries once with
 a jitter of 1e-10 of the mean diagonal before it gives up.  Three callers
 use it: the GEE information matrix (a failure there is `RankDeficient`),
 the unstructured template shrink and the simulator's latent correlation.
-Working correlations are factored in `gee` without jitter.
+Working correlations are factored in `gee` without jitter.  `spd_solve`
+calls LAPACK's `dpotrs` directly, the routine `scipy.linalg.cho_solve`
+calls, so its results are bitwise `cho_solve`'s without the cost of
+scipy's wrapper.
 """
 
 from dataclasses import dataclass

@@ -28,7 +28,9 @@ Three entry points:
 
   The mapping of uniforms to levels, the linear predictor, the thresholds
   (``ndtri``, the value ``stats.norm.ppf`` returns) and the latent
-  correlation then run on whole arrays.
+  correlation then run on whole arrays.  Clusters of one size share their
+  latent factors: the distinct margin rows come from one ``lexsort``, and
+  their cache keys from one ``np.round(rows, 12)``.
 
 * :func:`generate_paper` draws a :func:`paper_profile` dataset with
   `generate`, then back-fills raw columns from ``default_rng([seed, 17])``

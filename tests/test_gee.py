@@ -334,6 +334,29 @@ def test_singleton_clusters_identical_across_structures():
         assert np.max(np.abs(beta - fits[0])) < 1e-12
 
 
+@pytest.mark.parametrize("cs", [
+    Exchangeable(0.3), AR1(0.4), MDependent(2, (0.2, 0.1)),
+    Unstructured(2, [[1.0, 0.25], [0.25, 1.0]])], ids=lambda cs: cs.kind)
+def test_all_singletons_fit_warns_each_refresh_and_keeps_parameters(cs):
+    """With no within-cluster pair there is no moment: every refresh (the
+    start and one per iteration) warns once and keeps the supplied
+    structure.  The IRLS start already solves the singletons' equation, so
+    the fit takes one iteration and two refreshes."""
+    rng = np.random.default_rng(9)
+    x_values = rng.integers(0, 2, 60).astype(float)
+    y_values = (rng.uniform(size=60) < expit(-0.3 + 0.7 * x_values)).astype(float)
+    ds = dataset_from_arrays([1] * 60, x_values, y_values)
+    x = build_design(ds, [TermCoding("x", "factor", "descending")])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fit = fit_gee(x, ds, BINOMIAL, cs)
+    assert fit.converged and fit.iterations == 1
+    assert [(w.category, str(w.message)) for w in caught] == [
+        (UnderdeterminedLag, "all clusters are singletons; correlation parameters kept")
+    ] * (fit.iterations + 1)
+    assert fit.structure is cs
+
+
 def test_reference_flip_negates_exactly(paper_ds, binomial):
     from geeclust import recode_response
 

@@ -189,6 +189,30 @@ def test_qic_qicu_difference_identity():
     assert lhs == pytest.approx(2 * x.p - 2 * trace, rel=1e-12)
 
 
+def test_independence_information_evaluates_the_variance_once(monkeypatch):
+    """The canonical link's d mu / d eta is V(mu), so the weight
+    (d mu / d eta)^2 / V needs V(mu) once per call."""
+    import geeclust.glm as glm_module
+
+    rng = np.random.default_rng(43)
+    x_values = rng.integers(0, 2, 40).astype(float)
+    y_values = (rng.uniform(size=40) < expit(-0.2 + 0.5 * x_values)).astype(float)
+    ds = dataset_from_arrays([2] * 20, x_values, y_values)
+    x = build_design(ds, [TermCoding("x", "factor", "descending")])
+    expected = independence_information(x, ds, BINOMIAL, [-0.2, 0.5])
+    calls = []
+    variance_fn = glm_module.variance_fn
+
+    def counting_variance(f, mu):
+        calls.append(1)
+        return variance_fn(f, mu)
+
+    monkeypatch.setattr(glm_module, "variance_fn", counting_variance)
+    omega = independence_information(x, ds, BINOMIAL, [-0.2, 0.5])
+    assert len(calls) == 1
+    assert np.array_equal(omega, expected)
+
+
 def test_qic_approaches_qicu_on_independent_singletons():
     rng = np.random.default_rng(41)
     n = 4000

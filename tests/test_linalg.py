@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve
 
 from geeclust.errors import DimensionMismatch, NotPositiveDefinite
 from geeclust.linalg import spd_factor, spd_inverse, spd_solve, trace_of_product
@@ -64,6 +65,30 @@ def test_solve_residual_random_spd(seed):
     b = rng.standard_normal(n)
     x = spd_solve(spd_factor(m), b)
     assert np.linalg.norm(m @ x - b) / np.linalg.norm(b) < 1e-8
+
+
+@pytest.mark.parametrize("p", range(1, 9))
+def test_solve_and_inverse_equal_cho_solve_bitwise(p):
+    """spd_solve calls LAPACK's dpotrs directly; scipy's cho_solve, which
+    calls the same routine, stays the reference."""
+    rng = np.random.default_rng(200 + p)
+    for _ in range(20):
+        f = spd_factor(random_spd(rng, p, cond=10.0 ** rng.uniform(0, 6)))
+        for b in (rng.standard_normal(p), rng.standard_normal((p, int(rng.integers(1, 5))))):
+            x = spd_solve(f, b)
+            assert x.shape == b.shape
+            assert np.array_equal(x, cho_solve((f.lower, True), b))
+        inv = cho_solve((f.lower, True), np.eye(p))
+        assert np.array_equal(spd_inverse(f), (inv + inv.T) / 2.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_solve_rejects_nonfinite_right_hand_side(bad):
+    f = spd_factor(np.eye(3))
+    for b in (np.ones(3), np.ones((3, 2))):
+        b[1] = bad
+        with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+            spd_solve(f, b)
 
 
 def test_inverse_diagonal():

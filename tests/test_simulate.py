@@ -32,6 +32,7 @@ from geeclust.errors import InfeasibleCorrelation
 from geeclust.simulate import (
     TABLE_SIZES,
     LruCache,
+    _distinct_rows,
     _latent_cholesky,
     _latent_rho,
     binary_pair_correlation,
@@ -165,6 +166,23 @@ def test_generate_stream_property(seed, n_clusters, max_size, alpha, constant,
     tmp_path = tmp_path_factory.mktemp("stream")
     assert csv_bytes(generate(profile), tmp_path, "new.csv") == csv_bytes(
         reference_generate(profile), tmp_path, "reference.csv")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 6).flatmap(lambda k: st.lists(
+    st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0 / 3.0, 0.75]), min_size=k, max_size=k),
+    min_size=1, max_size=50)))
+def test_distinct_rows_match_unique_along_rows(rows):
+    """Rows drawn from a small pool repeat, so the groups, their order, the
+    first occurrences and the inverse all take more than one row."""
+    a = np.array(rows)
+    distinct, first, inverse = _distinct_rows(a)
+    ref_distinct, ref_first, ref_inverse = np.unique(
+        a, axis=0, return_index=True, return_inverse=True)
+    assert np.array_equal(distinct, ref_distinct)
+    assert np.array_equal(first, ref_first)
+    assert np.array_equal(inverse, ref_inverse.reshape(-1))
+    assert np.array_equal(distinct[inverse], a)
 
 
 # SHA-256 of the written CSVs, recorded when every draw was its own call
