@@ -142,6 +142,14 @@ class _ClusterLayout:
         return lags, resid[first] * resid[second]
 
     @cached_property
+    def neighbour_links(self):
+        """Whether each row and the next share a cluster, and the occasion
+        gap of each pair that does."""
+        link = np.ones(len(self.positions) - 1, dtype=bool)
+        link[self.starts[1:] - 1] = False    # no link across clusters
+        return link, np.diff(self.positions)[link]
+
+    @cached_property
     def size_groups(self):
         """Per cluster size m: the clusters of that size, their `(G, m)` row
         gather and its occasions.  Built on first use, once per fit."""
@@ -316,10 +324,9 @@ class AR1:
         """R^{-1} is tridiagonal: with rho_k = alpha^(t_{k+1} - t_k) on each
         neighbour link and q = rho^2 / (1 - rho^2), its diagonal is
         1 + q_{k-1} + q_k and its off-diagonal -rho_k / (1 - rho_k^2)."""
-        link = np.ones(len(e) - 1, dtype=bool)
-        link[layout.starts[1:] - 1] = False    # no link across clusters
+        link, gaps = layout.neighbour_links
         rho = np.zeros(len(e) - 1)
-        rho[link] = self.alpha ** np.diff(layout.positions)[link]
+        rho[link] = self.alpha ** gaps
         q = rho**2 / (1.0 - rho**2)
         off = -rho / (1.0 - rho**2)
         diag = 1.0 + np.concatenate(([0.0], q)) + np.concatenate((q, [0.0]))
