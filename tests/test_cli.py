@@ -397,6 +397,20 @@ def test_select_empty_structure_list_is_config_error(paper_csv, capsys, names):
     assert "--structures" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", ["exhaustive", "stepwise"])
+@pytest.mark.parametrize("size", ["0", "-1", "5"])
+def test_select_max_size_outside_the_terms_is_config_error(paper_csv, capsys, mode,
+                                                           size):
+    code = main([
+        "select", "--data", paper_csv, "--response", "LOOSENING",
+        "--cluster", "ID", "--within", "AREA2",
+        "--factors", "AREA1:desc,AGE1:desc", "--structures", "independent",
+        "--mode", mode, "--max-size", size,
+    ])
+    assert code == 2
+    assert "max_size must be in 1..2" in capsys.readouterr().err
+
+
 def test_select_stepwise_trace(paper_csv, capsys):
     code = main([
         "select", "--data", paper_csv, "--response", "LOOSENING",

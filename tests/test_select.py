@@ -210,6 +210,16 @@ def test_selection_rejects_two_structures_of_one_kind(signal_ds, mode):
                       [MDependent(1), MDependent(2)], mode=mode, max_size=1)
 
 
+@pytest.mark.parametrize("mode", ["exhaustive", "stepwise"])
+@pytest.mark.parametrize("max_size", [0, -1, 5])
+def test_selection_rejects_max_size_outside_the_terms(signal_ds, mode, max_size):
+    # one rule in both modes: a stepwise walk of size 0 is no walk, and one
+    # larger than the pool would stop short of what it was asked for
+    with pytest.raises(ValueError, match=r"max_size must be in 1\.\.2"):
+        run_selection(signal_ds, BINOMIAL, terms_named("AREA1", "AGE1"),
+                      [Independent()], mode=mode, max_size=max_size)
+
+
 def test_domain_error_candidate_recorded_as_failed():
     # AR-1 Fisher scoring drives a fitted mean out of (0, 1) on this small
     # dataset; the candidate must fail, not abort the whole selection
