@@ -94,6 +94,11 @@ def _canonical(structures):
     return sorted(structures, key=lambda s: order.index(s.kind))
 
 
+def _check_max_size(max_size, n_terms):
+    if not 1 <= max_size <= n_terms:
+        raise ValueError(f"max_size must be in 1..{n_terms}")
+
+
 def enumerate_candidates(terms, structures, max_size):
     """All non-empty covariate subsets up to `max_size` crossed with structures.
 
@@ -101,8 +106,7 @@ def enumerate_candidates(terms, structures, max_size):
     then structure in canonical listing order.
     """
     names = [t.name for t in terms]
-    if not 1 <= max_size <= len(names):
-        raise ValueError(f"max_size must be in 1..{len(names)}")
+    _check_max_size(max_size, len(names))
     ranked = _canonical(structures)
     return [CandidateSpec(subset, structure)
             for size in range(1, max_size + 1)
@@ -211,6 +215,9 @@ def run_selection(ds, f, terms, structures=None, mode="exhaustive",
     mode : "exhaustive" or "stepwise"
         Exhaustive fits every subset-structure pair; stepwise grows the
         subset greedily, stopping when the criterion stops improving.
+    max_size : int, optional
+        Largest subset either mode tries, in 1..len(terms); defaults to
+        len(terms).  A value outside that range raises ValueError.
 
     Returns
     -------
@@ -226,6 +233,7 @@ def run_selection(ds, f, terms, structures=None, mode="exhaustive",
     names = [t.name for t in terms]
     if max_size is None:
         max_size = len(names)
+    _check_max_size(max_size, len(names))
     evaluate = _Evaluator(ds, f, terms, options)
 
     if mode == "exhaustive":
