@@ -110,15 +110,6 @@ def _variance(f: Family, mu):
     return mu
 
 
-def mean_derivative(f: Family, mu):
-    """d(mean)/d(linear predictor).
-
-    For the canonical links supported here this coincides with the variance
-    function (identity link: constant 1).
-    """
-    return variance_fn(f, mu)
-
-
 def quasi_likelihood(x, beta, y, f: Family) -> float:
     """Quasi-likelihood of a fitted mean under working independence.
 

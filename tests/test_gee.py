@@ -248,7 +248,7 @@ def _estimating_equation(values, ds, f, beta, cs, phi=1.0):
     y = ds.response_vector()
     mu = glm.link_inverse(f, values @ beta)
     a = glm.variance_fn(f, mu)
-    dmu = glm.mean_derivative(f, mu)
+    dmu = a  # the canonical link's d mu / d eta is V(mu)
     total = np.zeros(values.shape[1])
     for start, size in zip(ds.starts.tolist(), ds.sizes.tolist()):
         sl = slice(start, start + size)
@@ -405,7 +405,9 @@ def test_numerical_hygiene_random_fits(seed):
         fd = (glm.link_inverse(BINOMIAL, x.values @ up)
               - glm.link_inverse(BINOMIAL, x.values @ down)) / (2 * h)
         mu = glm.link_inverse(BINOMIAL, x.values @ fit.beta)
-        analytic = glm.mean_derivative(BINOMIAL, mu) * x.values[:, k]
+        # the canonical-link identity d mu / d eta = V(mu), on which
+        # fit_gee and independence_information rest
+        analytic = glm.variance_fn(BINOMIAL, mu) * x.values[:, k]
         scale = np.maximum(np.abs(analytic), 1e-8)
         assert np.max(np.abs(fd - analytic) / scale) < 1e-6
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from geeclust import Family, irls_fit, link_eval, link_inverse, quasi_likelihood, variance_fn
-from geeclust.glm import _start_beta, mean_derivative
+from geeclust.glm import _start_beta
 from geeclust.errors import DomainError, NoConvergence, PerfectSeparation, RankDeficient
 
 from conftest import MARGINAL_INTERCEPT, MARGINAL_SLOPE
@@ -147,7 +147,9 @@ def reference_irls(x, y, f, tol=1e-10, max_iter=100):
         score = x.T @ (y - mu)
         if np.max(np.abs(score)) < tol:
             return beta, tuple(path), halvings, exhausted, True
-        w = mean_derivative(f, mu) ** 2 / variance_fn(f, mu)
+        # the canonical link's d mu / d eta is V(mu): the weight d^2 / V
+        v = variance_fn(f, mu)
+        w = v ** 2 / v
         delta = np.linalg.solve(x.T @ (x * w[:, None]), score)
         step = 1.0
         for _ in range(10):

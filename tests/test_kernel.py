@@ -95,7 +95,7 @@ def reference_assemble(values, y, ds, f, beta, cs, phi):
     """Information, score and meat from one factor-and-solve per cluster."""
     mu = glm.link_inverse(f, values @ beta)
     a = glm.variance_fn(f, mu)
-    dmu = glm.mean_derivative(f, mu)
+    dmu = a  # the canonical link's d mu / d eta is V(mu)
     p = values.shape[1]
     info, score, meat = np.zeros((p, p)), np.zeros(p), np.zeros((p, p))
     for start, size in zip(ds.starts.tolist(), ds.sizes.tolist()):
