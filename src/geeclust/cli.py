@@ -1,8 +1,13 @@
 """Command-line driver: fit, select, crosstab, summarize, simulate.
 
-Reports go to stdout (text or JSON); diagnostics go to stderr.  Exit codes:
-0 success, 2 configuration error, 3 data error, 4 non-convergence (a partial
-report is still printed).  Set GEE_LOG=debug|info|warning for verbosity.
+Reports go to stdout (text or JSON, and CSV for fit and select); diagnostics
+go to stderr.  Exit codes: 0 success, 2 configuration error, 3 data error, 4
+non-convergence (a partial report is still printed).  Set
+GEE_LOG=debug|info|warning for verbosity.
+
+Each table's columns are listed once.  `FIT_COLUMNS` gives the fit table's
+JSON/CSV keys, text headers, widths and formats; select's JSON/CSV candidate
+rows carry the fields of `select.Candidate` in order.
 """
 
 import argparse
@@ -11,6 +16,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -52,18 +58,20 @@ from .inference import (
     reference_panels,
     wald_row,
 )
-from .select import default_structures, run_selection
+from .select import Candidate, default_structures, run_selection
 from .simulate import build_paper_marginals, generate_paper
 
 log = logging.getLogger("geeclust")
 
 CONFIG_ERROR, DATA_ERROR, NONCONVERGENCE = 2, 3, 4
 
-CONFIG_EXCEPTIONS = (InvalidAlpha, InvalidLevel, InfeasibleCorrelation, ValueError)
-
 
 class ConfigError(Exception):
     pass
+
+
+CONFIG_EXCEPTIONS = (ConfigError, InvalidAlpha, InvalidLevel, InfeasibleCorrelation,
+                     ValueError)
 
 
 def _f3(x) -> str:
@@ -151,6 +159,25 @@ def _alpha_payload(fit):
 
 # ----------------------------------------------------------------------- fit
 
+# The fit table, one column per ParameterRow field, in the order of the JSON
+# and CSV rows: the field (the JSON/CSV key), the text header, the text width
+# and the text format.  The label is left-aligned and cut to its width - 1,
+# the other columns are right-aligned.
+FIT_COLUMNS = (
+    ("label", "Parameter", 18, str),
+    ("b", "B", 8, _f3),
+    ("se", "SE", 8, _f3),
+    ("ci_low", "CI low", 9, _f3),
+    ("ci_high", "CI high", 9, _f3),
+    ("wald_chisq", "Wald chi2", 10, _f3),
+    ("df", "df", 4, str),
+    ("p_value", "p", 7, _fp),
+    ("exp_b", "Exp(B)", 8, _f3),
+    ("exp_ci_low", "Exp low", 9, _f3),
+    ("exp_ci_high", "Exp high", 9, _f3),
+)
+
+
 def cmd_fit(args) -> int:
     ds = _load_model_data(args)
     terms = _terms_from_args(args)
@@ -188,22 +215,7 @@ def cmd_fit(args) -> int:
             "n_clusters": ds.n_clusters,
             "n_rows": ds.n_total,
         },
-        "rows": [
-            {
-                "label": r.label,
-                "b": r.b,
-                "se": r.se,
-                "ci_low": r.ci_low,
-                "ci_high": r.ci_high,
-                "wald_chisq": r.wald_chisq,
-                "df": r.df,
-                "p_value": r.p_value,
-                "exp_b": r.exp_b,
-                "exp_ci_low": r.exp_ci_low,
-                "exp_ci_high": r.exp_ci_high,
-            }
-            for r in rows
-        ],
+        "rows": [{key: getattr(r, key) for key, _, _, _ in FIT_COLUMNS} for r in rows],
         "phi": float(fit.phi),
         "alpha": _alpha_payload(fit),
         "qic": qic(fit, x, ds, family),
@@ -215,11 +227,12 @@ def cmd_fit(args) -> int:
     return NONCONVERGENCE if partial else 0
 
 
-FIT_HEADER = (
-    ("Parameter", 18), ("B", 8), ("SE", 8), ("CI low", 9), ("CI high", 9),
-    ("Wald chi2", 10), ("df", 4), ("p", 7), ("Exp(B)", 8),
-    ("Exp low", 9), ("Exp high", 9),
-)
+def _fit_line(cells) -> str:
+    """One line of the fit table from its cells in FIT_COLUMNS order."""
+    (_, _, width, _), *rest = FIT_COLUMNS
+    return cells[0][: width - 1].ljust(width) + "".join(
+        cell.rjust(w) for cell, (_, _, w, _) in zip(cells[1:], rest)
+    )
 
 
 def render_fit_text(payload) -> str:
@@ -232,20 +245,12 @@ def render_fit_text(payload) -> str:
         f"Family: {model['family']}({model['link']}) | "
         f"working correlation: {model['correlation']}",
         "",
-        FIT_HEADER[0][0].ljust(FIT_HEADER[0][1])
-        + "".join(name.rjust(width) for name, width in FIT_HEADER[1:]),
+        _fit_line([header for _, header, _, _ in FIT_COLUMNS]),
     ]
-    for r in payload["rows"]:
-        cells = (
-            r["label"][: FIT_HEADER[0][1] - 1],
-            _f3(r["b"]), _f3(r["se"]), _f3(r["ci_low"]), _f3(r["ci_high"]),
-            _f3(r["wald_chisq"]), str(r["df"]), _fp(r["p_value"]),
-            _f3(r["exp_b"]), _f3(r["exp_ci_low"]), _f3(r["exp_ci_high"]),
-        )
-        lines.append(
-            cells[0].ljust(FIT_HEADER[0][1])
-            + "".join(c.rjust(w) for c, (_, w) in zip(cells[1:], FIT_HEADER[1:]))
-        )
+    lines.extend(
+        _fit_line([fmt(r[key]) for key, _, _, fmt in FIT_COLUMNS])
+        for r in payload["rows"]
+    )
     lines.append("")
     lines.append(f"Scale (phi): {_f3(payload['phi'])}")
     lines.append(f"Alpha: {_render_alpha(payload['alpha'])}")
@@ -285,24 +290,26 @@ def cmd_select(args) -> int:
     payload = {
         "command": "select",
         "mode": args.mode,
-        "candidates": [
-            {
-                "structure": c.structure,
-                "covariates": list(c.covariates),
-                "p": c.p,
-                "qic": None if not c.converged else c.qic,
-                "qic_u": None if not c.converged else c.qic_u,
-                "converged": c.converged,
-                "failure": c.failure,
-            }
-            for c in report.candidates
-        ],
+        "candidates": [_candidate_row(c) for c in report.candidates],
         "best_structure": report.best_structure,
         "best_model": list(report.best_model),
         "trace": list(report.trace),
     }
     _emit(payload, args.output_format, render_select_text, table="candidates")
     return 0
+
+
+CANDIDATE_KEYS = tuple(field.name for field in fields(Candidate))
+
+
+def _candidate_row(c):
+    """A candidate's JSON/CSV row: its fields in order, the covariates as a
+    list and the criteria None when it did not converge."""
+    row = {key: getattr(c, key) for key in CANDIDATE_KEYS}
+    row["covariates"] = list(c.covariates)
+    if not c.converged:
+        row["qic"] = row["qic_u"] = None
+    return row
 
 
 def render_select_text(payload) -> str:
@@ -574,19 +581,13 @@ def main(argv=None) -> int:
         return exc.code if exc.code is not None else CONFIG_ERROR
     try:
         return COMMANDS[args.command](args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return CONFIG_ERROR
     except CONFIG_EXCEPTIONS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CONFIG_ERROR
     except AllCandidatesFailed as exc:
         print(f"error: {exc}", file=sys.stderr)
         return NONCONVERGENCE
-    except GeeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return DATA_ERROR
-    except OSError as exc:
+    except (GeeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR
 
