@@ -1,13 +1,10 @@
 """Command-line driver: fit, select, crosstab, summarize, simulate.
 
-Reports go to stdout (text or JSON, and CSV for fit and select); diagnostics
-go to stderr.  Exit codes: 0 success, 2 configuration error, 3 data error, 4
-non-convergence (a partial report is still printed).  Set
-GEE_LOG=debug|info|warning for verbosity.
-
-Each table's columns are listed once.  `FIT_COLUMNS` gives the fit table's
-JSON/CSV keys, text headers, widths and formats; select's JSON/CSV candidate
-rows carry the fields of `select.Candidate` in order.
+Reports go to stdout (text or JSON); diagnostics go to stderr.  Exit codes:
+0 success, 2 configuration error, 3 data error, 4 non-convergence (a partial
+report is still printed).  Set GEE_LOG=debug|info|warning for verbosity.
+The fit table's columns are defined once, in `FIT_COLUMNS`; select's JSON and
+CSV candidate rows are the fields of `select.Candidate`, in order.
 """
 
 import argparse
@@ -159,10 +156,8 @@ def _alpha_payload(fit):
 
 # ----------------------------------------------------------------------- fit
 
-# The fit table, one column per ParameterRow field, in the order of the JSON
-# and CSV rows: the field (the JSON/CSV key), the text header, the text width
-# and the text format.  The label is left-aligned and cut to its width - 1,
-# the other columns are right-aligned.
+# One entry per column, in JSON/CSV row order: the ParameterRow field (the
+# JSON/CSV key), the text header, width and format.
 FIT_COLUMNS = (
     ("label", "Parameter", 18, str),
     ("b", "B", 8, _f3),
@@ -228,7 +223,8 @@ def cmd_fit(args) -> int:
 
 
 def _fit_line(cells) -> str:
-    """One line of the fit table from its cells in FIT_COLUMNS order."""
+    """One line of the fit table from its cells in FIT_COLUMNS order: the
+    label left-aligned and cut to its width - 1, the rest right-aligned."""
     (_, _, width, _), *rest = FIT_COLUMNS
     return cells[0][: width - 1].ljust(width) + "".join(
         cell.rjust(w) for cell, (_, _, w, _) in zip(cells[1:], rest)
