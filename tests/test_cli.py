@@ -296,6 +296,18 @@ def test_overflowing_mean_is_data_error(tmp_path, capsys, monkeypatch):
     assert "mean overflowed" in errors[0]
 
 
+def test_constant_covariate_is_data_error_naming_the_column(tmp_path, capsys):
+    """AGE runs 12-40 in the example data, so OLD (AGE above 65) is a column
+    of zeros: the fit exits 3 naming it, not as a rank-deficient design."""
+    path = tmp_path / "old.csv"
+    write_csv(derive_threshold(build_paper_marginals(0), "AGE", 65.0, "OLD"), path)
+    code = main(fit_args(str(path), "--covariates", "OLD"))
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert code == 3 and len(errors) == 1 and "Traceback" not in err
+    assert errors[0] == "error: covariate 'OLD' takes the single value 0"
+
+
 def test_repeated_column_name_is_data_error(tmp_path, capsys):
     path = tmp_path / "repeat.csv"
     path.write_text("ID,AREA1,AREA1,LOOSENING\n1,1,0,0\n1,0,1,1\n2,0,0,1\n")

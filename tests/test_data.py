@@ -382,6 +382,14 @@ def test_constant_factor_rejected():
         build_design(ds, [TermCoding("X", "factor")])
 
 
+def test_constant_covariate_rejected_naming_column_and_value():
+    # the intercept is always coded, so a constant covariate is collinear
+    # with it whatever its value
+    ds = make_ds({1: [(0, 2.5)], 2: [(1, 2.5), (0, 2.5)]}, names=("X",))
+    with pytest.raises(ConstantFactor, match=r"covariate 'X' .* single value 2\.5"):
+        build_design(ds, [TermCoding("X", "covariate")])
+
+
 def test_unknown_variable_rejected():
     ds = make_ds({1: [(0, 1.0)]})
     with pytest.raises(UnknownVariable):

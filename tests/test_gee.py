@@ -3,7 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
@@ -30,6 +30,8 @@ from geeclust import (
     recode_response,
     robust_se,
 )
+import geeclust.errors as errors
+import geeclust.gee as gee_module
 from geeclust.errors import (
     DomainError,
     GeeError,
@@ -550,6 +552,94 @@ def test_gee_rank_deficient():
 
     with pytest.raises(RankDeficient):
         fit_gee(DesignMatrix(x_bad, ("(Intercept)", "dup")), ds, BINOMIAL, Independent())
+
+
+NORMAL = Family("normal", "identity")
+POISSON = Family("poisson", "log")
+ESTIMABLE = [Independent(), MDependent(1), Exchangeable(), AR1(), Unstructured(4)]
+
+
+def _fit_x(ds, f, structure, options=None):
+    return fit_gee(build_design(ds, [TermCoding("x", "covariate")]), ds, f, structure,
+                   options)
+
+
+# two singleton clusters and a covariate: n = p, so sum r^2 / (n - p) has no
+# degree of freedom to divide by
+SATURATED_NORMAL = ([1, 1], [0.0, 1.0], [0.3, 1.7])
+# log mu = b0 + b1 x reproduces y = (2, 1, 1) exactly, so sum r^2 is 0
+EXACT_POISSON = ([3], [0.0, 1.0, 1.0], [2.0, 1.0, 1.0])
+
+
+@pytest.mark.parametrize("structure", ESTIMABLE, ids=lambda cs: cs.kind)
+def test_saturated_fit_has_undefined_dispersion(structure):
+    ds = dataset_from_arrays(*SATURATED_NORMAL)
+    with pytest.raises(errors.UndefinedDispersion,
+                       match="2 observations and 2 parameters"):
+        _fit_x(ds, NORMAL, structure)
+
+
+def test_saturated_fit_with_fixed_dispersion_is_exact():
+    ds = dataset_from_arrays(*SATURATED_NORMAL)
+    fit = _fit_x(ds, NORMAL, Independent(), GeeOptions(fix_phi=True))
+    assert fit.phi == 1.0
+    assert fit.beta == pytest.approx([0.3, 1.4])
+
+
+@pytest.mark.parametrize("structure", ESTIMABLE, ids=lambda cs: cs.kind)
+def test_exact_poisson_fit_has_zero_dispersion(structure):
+    ds = dataset_from_arrays(*EXACT_POISSON)
+    with pytest.raises(errors.UndefinedDispersion, match="dispersion estimate is 0"):
+        _fit_x(ds, POISSON, structure)
+
+
+@pytest.mark.parametrize("phi", [np.inf, np.nan])
+def test_non_finite_dispersion_is_undefined(monkeypatch, phi):
+    """A diverging Poisson iterate gives an infinite sum of squares; the
+    estimate is patched here, as no small dataset reaches it reliably."""
+    monkeypatch.setattr(gee_module, "estimate_phi", lambda *args, **kwargs: phi)
+    ds = dataset_from_arrays([2, 2, 2], [0.0, 1.0, 1.0, 0.0, 2.0, 1.0],
+                             [0.2, 1.1, 0.9, 0.1, 2.2, 1.3])
+    with pytest.raises(errors.UndefinedDispersion, match="not finite"):
+        _fit_x(ds, NORMAL, Exchangeable())
+
+
+FAMILIES = (BINOMIAL, POISSON, NORMAL)
+RESPONSES = {
+    "binomial": st.sampled_from([0.0, 1.0]),
+    "poisson": st.integers(0, 6).map(float),
+    "normal": st.integers(-12, 12).map(lambda k: k / 4.0),
+}
+
+
+@st.composite
+def small_fits(draw):
+    """1-7 clusters of 1-4 rows, a family, its responses and a covariate."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=7))
+    n = sum(sizes)
+    f = draw(st.sampled_from(FAMILIES))
+    x = draw(st.lists(st.sampled_from([0.0, 1.0, 2.0, -1.5]), min_size=n, max_size=n))
+    y = draw(st.lists(RESPONSES[f.distribution], min_size=n, max_size=n))
+    return sizes, x, y, f
+
+
+@pytest.mark.filterwarnings("ignore")
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(case=small_fits(), structure=st.sampled_from(ESTIMABLE))
+@example(case=(*SATURATED_NORMAL, NORMAL), structure=Exchangeable())
+@example(case=(*EXACT_POISSON, POISSON), structure=Exchangeable())
+def test_small_fits_are_finite_or_fail_with_a_gee_error(case, structure):
+    """Every fit either returns finite beta, covariances and phi or raises a
+    GeeError: no bare ValueError or ZeroDivisionError, and no nan or inf
+    passed on as an estimate."""
+    sizes, x, y, f = case
+    ds = dataset_from_arrays(sizes, x, y)
+    try:
+        fit = _fit_x(ds, f, structure)
+    except GeeError:
+        return
+    for value in (fit.beta, fit.cov_model_based, fit.cov_robust, fit.phi):
+        assert np.all(np.isfinite(value))
 
 
 def _fit_coded(ds, structure, reference):
