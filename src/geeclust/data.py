@@ -623,6 +623,11 @@ def build_design(ds, terms) -> DesignMatrix:
             if values.dtype == object:
                 i = _first_text(values)
                 raise UnparseableValue(i, term.name, values[i])
+            if n and np.all(values == values[0]):
+                raise ConstantFactor(
+                    f"covariate {term.name!r} takes the single value "
+                    f"{_format_cell(float(values[0]))}"
+                )
             columns.append(values)
             labels.append(term.name)
             continue

@@ -44,7 +44,9 @@ class UnknownVariable(GeeError):
 
 
 class ConstantFactor(GeeError):
-    """A factor term has a single observed level and cannot be coded."""
+    """A term takes a single value: a factor with one observed level has no
+    column to code, and a constant covariate is collinear with the
+    intercept."""
 
 
 class NonBinaryResponse(GeeError):
@@ -69,6 +71,12 @@ class DomainError(GeeError):
 
 class RankDeficient(GeeError):
     """Design matrix does not have full column rank."""
+
+
+class UndefinedDispersion(GeeError):
+    """The estimated dispersion is 0 or undefined: the fit leaves no
+    residual degree of freedom, reproduces the response exactly, or
+    diverged."""
 
 
 class PerfectSeparation(GeeError):

@@ -60,6 +60,7 @@ from .errors import (
     PerfectSeparation,
     RankDeficient,
     SizeExceedsTemplate,
+    UndefinedDispersion,
     UnderdeterminedLag,
 )
 from .linalg import SYMMETRY_RTOL, spd_factor, spd_inverse, spd_solve
@@ -701,6 +702,12 @@ def fit_gee(x, ds, f, cs, options: GeeOptions = None) -> GeeFit:
 
     def refresh(cs, resid):
         phi = estimate_phi(resid, n, p, fix_to_one=fix_phi)
+        if phi == 0.0:
+            raise UndefinedDispersion(
+                "dispersion estimate is 0: the fit reproduces the response exactly")
+        if not np.isfinite(phi):
+            raise UndefinedDispersion(
+                f"dispersion estimate is not finite ({phi}): the iterate diverged")
         if opts.update_alpha and hasattr(cs, "estimate"):
             if layout.has_pairs:
                 cs = cs.estimate(resid, layout, phi, p, opts.subtract_p)
@@ -715,6 +722,10 @@ def fit_gee(x, ds, f, cs, options: GeeOptions = None) -> GeeFit:
     # meat B their cross-product, formed once after the loop
     beta = start.beta.copy()
     mu, boundary, z, resid = at_mean(start.mu)
+    if not fix_phi and n <= p:
+        raise UndefinedDispersion(
+            f"dispersion is undefined with {n} observations and {p} parameters: "
+            "no residual degree of freedom is left")
     cs_current, phi = refresh(cs, resid)
     converged = False
     iterations = 0

@@ -25,6 +25,7 @@ from .errors import (
     NotPositiveDefinite,
     PerfectSeparation,
     RankDeficient,
+    UndefinedDispersion,
 )
 from .gee import (
     AR1,
@@ -77,7 +78,7 @@ class SelectionReport:
 
 # what makes one candidate fail without aborting the selection
 _FIT_FAILURES = (NoConvergence, RankDeficient, NotPositiveDefinite,
-                PerfectSeparation, ConstantFactor, DomainError)
+                PerfectSeparation, ConstantFactor, DomainError, UndefinedDispersion)
 
 
 def _canonical(structures):
