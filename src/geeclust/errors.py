@@ -55,10 +55,6 @@ class NonBinaryResponse(GeeError):
 
 # ------------------------------------------------------------- linear algebra
 
-class DimensionMismatch(GeeError):
-    """Operand shapes do not conform."""
-
-
 class NotPositiveDefinite(GeeError):
     """Matrix is not symmetric positive definite."""
 

@@ -63,7 +63,7 @@ from .errors import (
     UndefinedDispersion,
     UnderdeterminedLag,
 )
-from .linalg import SYMMETRY_RTOL, spd_factor, spd_inverse, spd_solve
+from .linalg import spd_factor, spd_solve
 
 ALPHA_CLAMP = 0.99
 
@@ -429,6 +429,7 @@ class Fixed:
     matrix: np.ndarray
 
     kind = "fixed"
+    SYMMETRY_RTOL = 1e-10
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=float)
@@ -439,7 +440,7 @@ class Fixed:
         if not np.all(np.isfinite(m)):
             raise ValueError("fixed correlation has non-finite entries")
         # no jitter retry: a singular matrix is the user's, not round-off
-        if np.max(np.abs(m - m.T)) > SYMMETRY_RTOL:
+        if np.max(np.abs(m - m.T)) > self.SYMMETRY_RTOL:
             raise NotPositiveDefinite("fixed working correlation is not symmetric")
         try:
             np.linalg.cholesky(m)
@@ -748,7 +749,8 @@ def fit_gee(x, ds, f, cs, options: GeeOptions = None) -> GeeFit:
             break
 
     info, g = cs_current.cluster_sums(z, resid, layout, phi)
-    minv = spd_inverse(spd_factor(info))
+    minv = spd_solve(spd_factor(info), np.eye(p))
+    minv = (minv + minv.T) / 2.0
     cov_robust = minv @ (g.T @ g) @ minv
     cov_robust = (cov_robust + cov_robust.T) / 2.0
     fit = GeeFit(

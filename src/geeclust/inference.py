@@ -15,7 +15,6 @@ from .errors import (
     UnknownVariable,
 )
 from .gee import independence_information
-from .linalg import trace_of_product
 
 
 @dataclass(frozen=True)
@@ -155,7 +154,8 @@ def qic(fit, x, ds, f) -> float:
     better; comparisons are valid across working structures for one model.
     """
     omega = independence_information(x, ds, f, fit.beta, fit.phi)
-    penalty = trace_of_product(omega, fit.cov_robust)
+    # trace(omega @ cov_robust) without forming the product
+    penalty = float(np.einsum("ij,ji->", omega, fit.cov_robust))
     return -2.0 * fit.quasi_likelihood_independence + 2.0 * penalty
 
 

@@ -221,7 +221,7 @@ def _latent_cholesky(margins, rounded, alpha):
             latent[j, k] = latent[k, j] = _latent_rho(margins[j], margins[k], alpha)
     for _ in range(6):
         try:
-            lower = spd_factor(latent).lower
+            lower = spd_factor(latent)
             break
         except NotPositiveDefinite:
             latent = 0.999 * latent + 0.001 * np.eye(t)

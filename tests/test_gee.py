@@ -419,8 +419,10 @@ def test_numerical_hygiene_random_fits(seed):
     )
     assert np.max(np.abs(residual)) < 1e-6
 
-    # sandwich symmetric and PSD (Cholesky with jitter succeeds)
+    # sandwich symmetric and PSD (Cholesky with jitter succeeds); the
+    # model-based covariance is symmetrized, so it is symmetric exactly
     assert np.max(np.abs(fit.cov_robust - fit.cov_robust.T)) < 1e-10
+    assert np.array_equal(fit.cov_model_based, fit.cov_model_based.T)
     bump = 1e-8 * np.mean(np.diag(fit.cov_robust))
     spd_factor(fit.cov_robust + bump * np.eye(x.p))
     spd_factor(fit.cov_model_based + bump * np.eye(x.p))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from scipy.special import expit
 
 from geeclust import (
     ContingencyTable,
+    Exchangeable,
     Family,
     Independent,
     TermCoding,
@@ -28,7 +30,6 @@ from geeclust.errors import (
     NonBinaryResponse,
     UndefinedOR,
 )
-from geeclust.linalg import trace_of_product
 
 from test_gee import dataset_from_arrays
 
@@ -168,10 +169,17 @@ def test_qicu_by_definition():
 
 
 def test_trace_term_identity():
+    # with cov_robust = Omega_I^{-1} the penalty trace(Omega_I cov_robust) is p
     rng = np.random.default_rng(31)
-    a = rng.standard_normal((4, 4))
-    omega = a @ a.T + 4 * np.eye(4)
-    assert trace_of_product(omega, np.linalg.inv(omega)) == pytest.approx(4.0)
+    x_values = rng.integers(0, 2, 80).astype(float)
+    y_values = (rng.uniform(size=80) < expit(-0.2 + 0.5 * x_values)).astype(float)
+    ds = dataset_from_arrays([2] * 40, x_values, y_values)
+    x = build_design(ds, [TermCoding("x", "factor", "descending")])
+    fit = fit_gee(x, ds, BINOMIAL, Exchangeable())
+    omega = independence_information(x, ds, BINOMIAL, fit.beta, fit.phi)
+    fit = dataclasses.replace(fit, cov_robust=np.linalg.inv(omega))
+    q = -2.0 * fit.quasi_likelihood_independence
+    assert qic(fit, x, ds, BINOMIAL) == pytest.approx(q + 2.0 * x.p, rel=1e-12)
 
 
 def test_qic_qicu_difference_identity():
@@ -184,7 +192,7 @@ def test_qic_qicu_difference_identity():
     x = build_design(ds, [TermCoding("x", "factor", "descending")])
     fit = fit_gee(x, ds, BINOMIAL, Independent())
     omega = independence_information(x, ds, BINOMIAL, fit.beta, fit.phi)
-    trace = trace_of_product(omega, fit.cov_robust)
+    trace = np.trace(omega @ fit.cov_robust)
     lhs = qic_u(fit, x.p) - qic(fit, x, ds, BINOMIAL)
     assert lhs == pytest.approx(2 * x.p - 2 * trace, rel=1e-12)
 

@@ -33,7 +33,7 @@ from geeclust import (
 )
 from geeclust import gee, glm
 from geeclust.errors import GeeError, NotPositiveDefinite
-from geeclust.linalg import spd_factor, spd_inverse, spd_solve
+from geeclust.linalg import spd_factor, spd_solve
 
 TOL = 1e-10
 BINOMIAL = Family("binomial", "logit")
@@ -135,7 +135,8 @@ def reference_fit(x, ds, f, cs, opts=GeeOptions()):
         if np.max(np.abs(delta)) < opts.tol:
             break
     info, _, meat = reference_assemble(values, y, ds, f, beta, cs, phi)
-    minv = spd_inverse(spd_factor(info))
+    minv = spd_solve(spd_factor(info), np.eye(p))
+    minv = (minv + minv.T) / 2.0
     robust = minv @ meat @ minv
     return {"beta": beta, "structure": cs, "phi": phi, "cov_model_based": minv,
             "cov_robust": (robust + robust.T) / 2.0, "iterations": iterations}
