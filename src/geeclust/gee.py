@@ -41,6 +41,13 @@ fit on `_ClusterLayout`, which every structure's `estimate(resid, layout,
 phi, p, subtract_p)` reads; `fit_gee` calls it directly, and
 `estimate_alpha` is the public entry that checks its arguments first.  The
 sandwich meat is formed once, after the scoring loop.
+
+An estimated dispersion phi = sum r^2 / (n - p) scales every moment and the
+information, so `fit_gee` stops with `UndefinedDispersion` when it has no
+meaning: n <= p leaves no residual degree of freedom, phi = 0 means the fit
+reproduces the response exactly, and a phi that is not finite comes from a
+diverging iterate.  A phi fixed at 1 (binomial, or `fix_phi=True`) is never
+checked.
 """
 
 import warnings
@@ -670,6 +677,8 @@ def fit_gee(x, ds, f, cs, options: GeeOptions = None) -> GeeFit:
     NoConvergence
         When the coefficient step never drops below options.tol; the
         exception carries the partial fit in its `fit` attribute.
+    UndefinedDispersion
+        When phi is estimated and n <= p, or an estimate is 0 or not finite.
     """
     opts = options or GeeOptions()
     values = np.asarray(getattr(x, "values", x), dtype=float)

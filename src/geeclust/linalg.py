@@ -1,4 +1,4 @@
-"""Cholesky factor and solve for the GEE information matrix.
+"""Cholesky factor and solve for symmetric positive-definite matrices.
 
 `spd_factor` returns the lower Cholesky factor as a plain array and
 `spd_solve` solves with it.  Three callers factor: `gee.fit_gee` (the p x p
