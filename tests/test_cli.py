@@ -272,6 +272,18 @@ def test_blank_cluster_id_is_data_error_naming_row_and_column(tmp_path, capsys):
     assert "row 4, column 'ID'" in capsys.readouterr().err
 
 
+def test_text_covariate_is_data_error_naming_the_file_row(tmp_path, capsys):
+    """build_design finds the text cell, and names the file row holding it."""
+    path = tmp_path / "text.csv"
+    path.write_text("ID,X,Y\n1,1,0\n1,2,1\n2,1,1\n2,zz,0\n3,1,0\n3,2,1\n")
+    code = main(["fit", "--data", str(path), "--response", "Y", "--cluster", "ID",
+                 "--covariates", "X", "--corr", "independent"])
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert code == 3 and len(errors) == 1 and "Traceback" not in err
+    assert "row 5, column 'X'" in errors[0]
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_mean_is_data_error(tmp_path, capsys, monkeypatch):
     """The CLI fits binomial responses only, so a Poisson fit of raw counts

@@ -390,6 +390,44 @@ def test_constant_covariate_rejected_naming_column_and_value():
         build_design(ds, [TermCoding("X", "covariate")])
 
 
+# Rows 2-7 of a file whose rows load as file rows 6, 2, 3, 7: row 4 is
+# blank, row 5 has no response, and T orders each cluster's rows.
+UNSORTED_CSV = "ID,T,X,Z,Y\n2,2,1,1,0\n1,1,1,,1\n\n1,3,5,1,\n2,1,1,1,1\n1,2,zz,1,0\n"
+
+
+def test_loaded_rows_remember_their_file_rows(tmp_path):
+    path = tmp_path / "unsorted.csv"
+    path.write_text(UNSORTED_CSV)
+    ds = load_csv(path, "ID", "Y", "T")
+    assert ds.file_rows.tolist() == [6, 2, 3, 7]
+    assert complete_cases(ds, ["Z"])[0].file_rows.tolist() == [6, 2, 7]
+    assert recode_response(ds, "Y").file_rows.tolist() == [6, 2, 3, 7]
+
+
+def test_data_errors_name_the_file_row(tmp_path):
+    path = tmp_path / "unsorted.csv"
+    path.write_text(UNSORTED_CSV)
+    ds = load_csv(path, "ID", "Y", "T")
+    # text X sits at dataset index 3, a blank Z at index 2
+    with pytest.raises(UnparseableValue, match=r"row 7, column 'X': cannot parse 'zz'"):
+        build_design(ds, [TermCoding("X", "covariate")])
+    with pytest.raises(UnparseableValue, match=r"row 7, column 'X'"):
+        derive_threshold(ds, "X", 1.0, "X1")
+    with pytest.raises(UnparseableValue, match=r"row 3, column 'Z': cannot parse None"):
+        build_design(ds, [TermCoding("Z", "factor")])
+    # dropping the blank-Z row moves the text cell to index 2, not its row
+    kept, _ = complete_cases(recode_response(ds, "Y"), ["Z"])
+    with pytest.raises(UnparseableValue, match=r"row 7, column 'X'"):
+        build_design(kept, [TermCoding("X", "covariate")])
+
+
+def test_data_errors_on_built_datasets_name_the_dataset_index():
+    ds = make_ds({1: [(0, 1.0), (1, 2.0)], 2: [(0, "a")]}, names=("X",))
+    assert ds.file_rows is None
+    with pytest.raises(UnparseableValue, match=r"row 2, column 'X'"):
+        build_design(ds, [TermCoding("X", "covariate")])
+
+
 def test_unknown_variable_rejected():
     ds = make_ds({1: [(0, 1.0)]})
     with pytest.raises(UnknownVariable):
