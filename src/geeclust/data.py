@@ -19,13 +19,21 @@ order and rows in occasion order inside each, as:
 * `response`, the float response of each row;
 * `columns`, one array per covariate in dataset row order: float64 with NaN
   for a missing value when every value is numeric, and an object array of
-  floats, strings and None (missing) only when the column holds text.
+  floats, strings and None (missing) only when the column holds text;
+* `file_rows`, the file row each row was read from (the header is row 1),
+  or None.  A data error names a row by it when it is set, and by the
+  dataset row index otherwise.
 
 NaN can stand for "missing" because `load_csv` rejects cells that parse to
 nan or inf.  Every array is read-only.
 
 A file whose every data cell is an unquoted finite number is parsed in one
 np.loadtxt pass, any other file cell by cell; both give the same dataset.
+On the first path no Python loop runs over the rows or the clusters: the
+cluster ids come from one np.unique call, and `write_csv` formats each distinct
+number once, whole numbers in one numpy cast.  The text is `_format_cell`'s
+in every case, so the ids, and every byte written, are those of a cell by
+cell formatting.
 """
 
 import csv
@@ -60,6 +68,20 @@ def _format_cell(value) -> str:
             return str(int(value))
         return repr(value)
     return str(value)
+
+
+def _number_text(values) -> np.ndarray:
+    """`_format_cell` of each float of `values`, as an object array.  Whole
+    numbers below 1e15 in size are cast to int64 and then to text, in two
+    numpy calls that write the digits str(int(v)) writes; only the others
+    (fractions, NaN, larger numbers) are formatted one by one."""
+    whole = (np.abs(values) < 1e15) & (values == np.trunc(values))
+    text = np.empty(len(values), dtype=object)
+    text[whole] = values[whole].astype(np.int64).astype(str).tolist()
+    rest = np.flatnonzero(~whole)
+    if len(rest):
+        text[rest] = [_format_cell(v) for v in values[rest].tolist()]
+    return text
 
 
 def _frozen(values, dtype) -> np.ndarray:
@@ -107,6 +129,10 @@ class ClusteredDataset:
     `variable_names` lists the covariate columns in order (the within-subject
     column, when declared, stays among them).  `n_total` always equals the
     sum of cluster sizes.
+
+    `file_rows` holds each row's source file row when `load_csv` read the
+    file cell by cell.  Generated data and all-numeric files, which hold no
+    cell a later step can reject, leave it None.
     """
 
     ids: tuple
@@ -117,6 +143,7 @@ class ClusteredDataset:
     cluster_col: str = "ID"
     response_col: str = "Y"
     within_col: Optional[str] = None
+    file_rows: Optional[np.ndarray] = field(default=None, repr=False)
     starts: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -125,6 +152,7 @@ class ClusteredDataset:
         positions = _frozen(self.positions, np.int64)
         response = _frozen(self.response, float)
         columns = {name: _as_column(v) for name, v in self.columns.items()}
+        file_rows = None if self.file_rows is None else _frozen(self.file_rows, np.int64)
         if len(set(ids)) != len(ids):
             raise ValueError("cluster ids are not unique")
         if len(ids) != len(sizes):
@@ -132,8 +160,10 @@ class ClusteredDataset:
         if np.any(sizes < 1):
             raise ValueError(f"cluster {ids[int(np.argmax(sizes < 1))]!r} has no rows")
         n = int(sizes.sum())
-        for name, values in (("positions", positions), ("response", response),
-                             *columns.items()):
+        rowwise = [("positions", positions), ("response", response), *columns.items()]
+        if file_rows is not None:
+            rowwise.append(("file_rows", file_rows))
+        for name, values in rowwise:
             if len(values) != n:
                 raise ValueError(f"{name} has {len(values)} rows, clusters have {n}")
         starts = np.cumsum(sizes) - sizes
@@ -150,7 +180,7 @@ class ClusteredDataset:
         starts.setflags(write=False)
         for name, value in (("ids", ids), ("sizes", sizes), ("positions", positions),
                             ("response", response), ("columns", columns),
-                            ("starts", starts)):
+                            ("file_rows", file_rows), ("starts", starts)):
             object.__setattr__(self, name, value)
 
     @property
@@ -206,7 +236,13 @@ class ClusteredDataset:
             positions=self.positions[keep],
             response=self.response[keep],
             columns={name: values[keep] for name, values in self.columns.items()},
+            file_rows=None if self.file_rows is None else self.file_rows[keep],
         )
+
+
+def _row(ds, i) -> int:
+    """What a data error calls row `i` of `ds`: its file row when known."""
+    return i if ds.file_rows is None else int(ds.file_rows[i])
 
 
 def _parse_column(cells):
@@ -362,8 +398,8 @@ def _parse_cells(header, row_nums, raw, cluster_col, response_col, within_col):
     """Parse and check columns of cell text as `load_csv` says.
 
     Returns ({name: values} for every column but the cluster column, the
-    indices of the kept rows, their cluster cells, and the function that
-    maps a cluster cell to its normalised id).
+    indices of the kept rows, the cluster ids in order of first appearance
+    of their normalised id, and each kept row's index into them).
     """
     idx = {name: i for i, name in enumerate(header)}
     # candidate errors as (row index, stage, header order, column, cell)
@@ -403,7 +439,27 @@ def _parse_cells(header, row_nums, raw, cluster_col, response_col, within_col):
     if dropped:
         log.info("dropped %d rows with missing response", dropped)
     values = {name: column for name, (column, _, _) in parsed.items()}
-    return values, kept, kept_cells, keys.__getitem__
+    first, code_of = {}, {}
+    for cell in dict.fromkeys(kept_cells):
+        code_of[cell] = first.setdefault(keys[cell], len(first))
+    code = np.fromiter(map(code_of.__getitem__, kept_cells), np.int64, len(kept))
+    return values, kept, tuple(first), code
+
+
+def _numeric_clusters(cells):
+    """Cluster ids and each row's index into them for a cluster column of
+    finite floats, clusters in order of first appearance.
+
+    One np.unique call groups the rows.  It merges -0.0 with 0.0 as a dict
+    keyed by the values does, and distinct finite floats have distinct
+    `_format_cell` text, so its levels are the clusters the cell by cell
+    path forms from the same cells, and `_number_text` gives their ids.
+    """
+    levels, first, inverse = np.unique(cells, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    return tuple(_number_text(levels[order]).tolist()), rank[inverse]
 
 
 def load_csv(path, cluster_col, response_col, within_col=None) -> ClusteredDataset:
@@ -421,27 +477,25 @@ def load_csv(path, cluster_col, response_col, within_col=None) -> ClusteredDatas
     from 1 at the header: the first row holding one wins, and inside a row
     a cell that parses to nan or inf (leftmost in header order) comes first,
     then a text response, a text within value, and a blank cluster id.
+
+    A cluster id is `_format_cell`'s text of a numeric cell's value ("01" and
+    "1.0" are cluster "1") and the text of any other cell.  A file of finite
+    numbers gets its ids from `_numeric_clusters`, with no Python call per
+    cluster; a file read cell by cell keeps the ids and the source file row
+    of each row (`file_rows`), which later data errors name.
     """
     roles = [cluster_col, response_col] + ([within_col] if within_col else [])
     if len(set(roles)) < len(roles):
         raise ValueError(f"cluster, response and within columns must differ: {roles}")
     header, row_nums, raw = _read_columns(path, roles)
     if row_nums is None:
-        # a table of finite numbers: no cell is bad, every row is kept, and
-        # a number's cluster id is what _cluster_key gives for its text
+        # a table of finite numbers: no cell is bad and every row is kept
         values = dict(zip(header, raw))
-        kept_cells = values[cluster_col].tolist()
-        kept, cluster_id = np.arange(len(kept_cells)), _format_cell
+        kept = np.arange(len(values[cluster_col]))
+        ids, code = _numeric_clusters(values[cluster_col])
     else:
-        values, kept, kept_cells, cluster_id = _parse_cells(
+        values, kept, ids, code = _parse_cells(
             header, row_nums, raw, cluster_col, response_col, within_col)
-
-    # clusters in order of first appearance of their normalised id
-    first, code_of = {}, {}
-    for cell in dict.fromkeys(kept_cells):
-        code_of[cell] = first.setdefault(cluster_id(cell), len(first))
-    code = np.fromiter(map(code_of.__getitem__, kept_cells), np.int64, len(kept))
-    ids = tuple(first)
     # text left in the within column sits on dropped rows only
     within = _as_column(values[within_col][kept]) if within_col is not None else None
     order, positions = _occasions(code, ids, within)
@@ -456,6 +510,7 @@ def load_csv(path, cluster_col, response_col, within_col=None) -> ClusteredDatas
         cluster_col=cluster_col,
         response_col=response_col,
         within_col=within_col,
+        file_rows=None if row_nums is None else np.asarray(row_nums)[rows],
     )
 
 
@@ -467,23 +522,47 @@ def _csv_field(text) -> str:
     return text
 
 
+# A float column of whole numbers below 1e15 whose largest and smallest
+# values differ by less than this is coded by subtraction instead of a sort.
+CODED_SPAN = 4096
+
+
 def _format_column(values) -> list:
-    """The CSV field of every cell of a column.  A number's text needs no
-    quotes, and each distinct number is formatted once."""
+    """The CSV field of every cell of a column, as `_format_cell` writes it.
+
+    A number's text needs no quotes.  A float column is coded as indices
+    into a table of its levels, and each level is formatted once by
+    `_number_text`: levels lo..hi when the column holds whole numbers whose
+    span is below CODED_SPAN (the code of v is v - lo), otherwise the
+    levels np.unique sorts out.  The codes only pick the text, so both give
+    each cell the text of its own value.
+    """
     if values.dtype == object:
         return [_csv_field(_format_cell(v)) for v in values.tolist()]
+    if len(values):
+        lo, hi = values.min(), values.max()
+        # a NaN makes lo and hi NaN, and fails the first test
+        if (-1e15 < lo and hi < 1e15 and hi - lo < CODED_SPAN
+                and np.array_equal(values, np.trunc(values))):
+            codes = (values - lo).astype(np.intp)
+            return _number_text(lo + np.arange(hi - lo + 1))[codes].tolist()
     levels, codes = np.unique(values, return_inverse=True)
-    text = np.array([_format_cell(v) for v in levels.tolist()], dtype=object)
-    return text[codes].tolist()
+    return _number_text(levels)[codes].tolist()
 
 
 def write_csv(ds: ClusteredDataset, path) -> None:
     """Write a dataset back to CSV (header: cluster, covariates, response),
-    quoted as csv.writer quotes it."""
+    quoted as csv.writer quotes it.
+
+    The ids are scanned once, joined, for the characters that need quotes
+    (comma, double quote, line breaks); only when one is present is each
+    id quoted on its own.  The cells are `_format_column`'s text."""
     header = [ds.cluster_col, *ds.variable_names, ds.response_col]
-    ids = np.empty(ds.n_clusters, dtype=object)
-    ids[:] = [_csv_field(str(cid)) for cid in ds.ids]
-    columns = [np.repeat(ids, ds.sizes).tolist()]
+    ids = list(map(str, ds.ids))
+    joined = "".join(ids)
+    if "," in joined or '"' in joined or "\r" in joined or "\n" in joined:
+        ids = list(map(_csv_field, ids))
+    columns = [np.repeat(np.array(ids, dtype=object), ds.sizes).tolist()]
     columns += [_format_column(values) for values in ds.columns.values()]
     columns.append(_format_column(ds.response))
     with open(path, "w", encoding="utf-8", newline="") as handle:
@@ -505,7 +584,7 @@ def derive_threshold(ds, source, threshold, new_name, strict_above=True):
     values = ds.columns[source]
     if values.dtype == object:
         i = _first_text(values)
-        raise UnparseableValue(i, source, values[i])
+        raise UnparseableValue(_row(ds, i), source, values[i])
     above = values > threshold if strict_above else values >= threshold
     coded = np.where(np.isnan(values), np.nan, above.astype(float))
     return replace(ds, columns={**ds.columns, new_name: coded})
@@ -618,11 +697,11 @@ def build_design(ds, terms) -> DesignMatrix:
         values = ds.columns[term.name]
         missing = _missing(values)
         if missing.any():
-            raise UnparseableValue(int(np.argmax(missing)), term.name, None)
+            raise UnparseableValue(_row(ds, int(np.argmax(missing))), term.name, None)
         if term.kind == "covariate":
             if values.dtype == object:
                 i = _first_text(values)
-                raise UnparseableValue(i, term.name, values[i])
+                raise UnparseableValue(_row(ds, i), term.name, values[i])
             if n and np.all(values == values[0]):
                 raise ConstantFactor(
                     f"covariate {term.name!r} takes the single value "

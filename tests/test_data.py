@@ -1,5 +1,6 @@
 import csv
 import gc
+from collections import Counter
 from math import isfinite
 
 import numpy as np
@@ -18,6 +19,7 @@ from geeclust import (
     recode_response,
     write_csv,
 )
+from geeclust.data import CODED_SPAN, _format_cell
 from geeclust.errors import (
     ConstantFactor,
     DuplicateColumn,
@@ -675,6 +677,9 @@ def numeric_csvs(draw):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(case=numeric_csvs())
 @example(case=("Y,ID,A,T\n  \n0,1,2,3\n", None))  # a first line of spaces, Y first
+# clusters first seen as 3, 1, 2; -0 and 0 are one cluster, 1e3 and 1000 another
+@example(case=("ID,A,T,Y\n3,0,1,0\n1,0,1,1\n2,0,1,0\n-0,1,2,1\n0,1,3,0\n"
+               "1e3,2,1,1\n1000,2,2,0\n1,5,2,0\n", None))
 def test_load_csv_matches_reference_loader_on_numeric_files(tmp_path_factory, case):
     text, within = case
     path = tmp_path_factory.mktemp("csv") / "numeric.csv"
@@ -703,6 +708,40 @@ def test_all_numeric_file_is_parsed_in_one_pass(tmp_path, monkeypatch):
     path.write_text("ID,X,T,Y\n01,2.5,2,0\n1,abc,1,1\n")
     with pytest.raises(AssertionError, match="cell by cell"):
         load_csv(path, "ID", "Y", "T")
+
+
+def test_numeric_ids_and_cells_are_formatted_without_a_call_per_row(tmp_path, monkeypatch):
+    """load_csv forms the 2,000 cluster ids of an all-numeric file with no
+    _format_cell call, and write_csv formats each fractional level once, with
+    no call for an id or a row."""
+    import geeclust.data as data_module
+
+    calls = Counter()
+
+    def counting(name):
+        original = getattr(data_module, name)
+
+        def counted(value):
+            calls[name] += 1
+            return original(value)
+        return counted
+
+    for name in ("_format_cell", "_csv_field"):
+        monkeypatch.setattr(data_module, name, counting(name))
+    rows = np.arange(6000)
+    # 2,000 clusters of three rows, ids -1000..999 in shuffled order
+    ids = (rows // 3) * 7919 % 2000 - 1000
+    path = tmp_path / "numbers.csv"
+    path.write_text("ID,X,W,Z,Y\n" + "".join(
+        f"{i},{r % 5},{r * 3},{r % 3 / 4:g},{r % 2}\n"
+        for i, r in zip(ids.tolist(), rows.tolist())))
+    ds = load_csv(path, "ID", "Y")
+    assert ds.n_clusters == 2000 and ds.ids[:3] == ("-1000", "919", "838")
+    assert not calls
+    write_csv(ds, tmp_path / "back.csv")
+    # Z's levels 0.25 and 0.5; X, W (spanning 18,000), Y and the ids need none
+    assert calls == {"_format_cell": 2}
+    assert (tmp_path / "back.csv").read_bytes() == path.read_bytes().replace(b"\n", b"\r\n")
 
 
 @pytest.mark.filterwarnings("error")
@@ -737,6 +776,66 @@ def test_write_csv_quotes_as_csv_writer_and_loads_back(tmp_path):
         ])
     assert path.read_bytes() == expected.read_bytes()
     assert _loaded(load_csv(path, "ID", "Y")) == _loaded(ds)
+
+
+def _reference_write_csv(ds, path):
+    """`write_csv` as csv.writer writes it, each cell through _format_cell."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow([ds.cluster_col, *ds.variable_names, ds.response_col])
+        columns = [ds.column(name) for name in ds.variable_names]
+        for i, c in enumerate(np.repeat(np.arange(ds.n_clusters), ds.sizes).tolist()):
+            writer.writerow([ds.ids[c], *(_format_cell(values[i]) for values in columns),
+                             _format_cell(ds.response[i].item())])
+
+
+# whole numbers from 1e15 up, and fractions, NaN and -0.0 among others
+ODD_NUMBERS = (-0.0, 0.0, -3.0, -1.5, 0.1, 2.5, 1e15 - 1, 1e15, -1e15, 2.0 ** 53,
+               3e20, float("nan"))
+
+
+@st.composite
+def writable_datasets(draw):
+    """Datasets whose columns take every branch of _format_column: whole
+    numbers spanning less than CODED_SPAN (SMALL) and more or about as much
+    (WIDE), numbers past 1e15 (BIG), fractions, NaN and -0.0 (MIXED), and
+    text (TXT); ids that need quotes in some and none in others."""
+    id_chars = draw(st.sampled_from(("abc", 'ab ,"\r\n')))
+    ids = draw(st.lists(st.one_of(st.integers(-999, 999).map(str),
+                                  st.text(id_chars, min_size=1, max_size=3)),
+                        min_size=1, max_size=6, unique=True))
+    sizes = [draw(st.integers(1, 4)) for _ in ids]
+    n = sum(sizes)
+
+    def column(values):
+        return draw(st.lists(values, min_size=n, max_size=n))
+
+    lo = draw(st.integers(-10 ** 6, 10 ** 6))
+    span = draw(st.sampled_from((CODED_SPAN - 1, CODED_SPAN, CODED_SPAN + 1, 10 ** 7)))
+    wide = column(st.integers(lo, lo + span).map(float))
+    wide[-1], wide[0] = float(lo + span), float(lo)
+    big = draw(st.sampled_from((1e15 - 2, -1e15, 2.0 ** 53, 1e20)))
+    columns = {
+        "SMALL": column(st.one_of(st.integers(-50, 50).map(float), st.just(-0.0))),
+        "WIDE": wide,
+        "BIG": column(st.integers(0, 3).map(lambda k: big + k)),
+        "MIXED": column(st.one_of(st.sampled_from(ODD_NUMBERS),
+                                  st.floats(allow_nan=False, allow_infinity=False))),
+        "TXT": column(st.one_of(st.none(), st.sampled_from(ODD_NUMBERS),
+                                st.text('ab ,"\r\n', min_size=1, max_size=3))),
+    }
+    response = column(st.sampled_from((0.0, 1.0)))
+    positions = [q for m in sizes for q in range(1, m + 1)]
+    return ClusteredDataset(ids, sizes, positions, response, columns, "ID", "Y", None)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(ds=writable_datasets())
+def test_write_csv_writes_the_bytes_of_a_csv_writer_reference(tmp_path_factory, ds):
+    folder = tmp_path_factory.mktemp("write")
+    write_csv(ds, folder / "got.csv")
+    _reference_write_csv(ds, folder / "expected.csv")
+    assert (folder / "got.csv").read_bytes() == (folder / "expected.csv").read_bytes()
 
 
 @st.composite
